@@ -301,6 +301,24 @@ class Bundle {
   std::atomic<Entry*> head_{nullptr};
 };
 
+/// The snapshot walk of Algorithm 3 for linked layouts (list, skip-list
+/// data layer): from `entry` (key < lo, or the head sentinel) follow
+/// bundles at `ts`, hop past keys < `lo`, and append every node in
+/// [`lo`, `hi`] — exactly the snapshot's nodes (minimality, §4). Returns
+/// false, leaving a partial `out`, when a bundle has no entry satisfying
+/// `ts` (its node postdates the snapshot).
+template <typename NodeT, typename K, typename V>
+bool collect_linked(NodeT* entry, const NodeT* tail, timestamp_t ts, K lo,
+                    K hi, std::vector<std::pair<K, V>>& out) {
+  for (NodeT* curr = entry;;) {
+    const BundleDeref<NodeT> d = curr->bundle.dereference(ts);
+    if (!d.found) return false;
+    curr = d.ptr;
+    if (curr == tail || curr->key > hi) return true;
+    if (curr->key >= lo) out.emplace_back(curr->key, curr->val);
+  }
+}
+
 /// Algorithm 1 (LinearizeUpdateOperation): prepare every bundle, advance the
 /// global timestamp, run the linearization point, finalize. `bundles` pairs
 /// each bundle with the new link value it must record; `linearize` is the

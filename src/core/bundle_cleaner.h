@@ -25,13 +25,21 @@ template <typename DS>
 class BundleCleaner {
  public:
   /// `delay` is the pause between cleanup passes (Table 1's d parameter).
-  /// The cleaner occupies the dedicated thread slot kMaxThreads-1; workload
-  /// threads must use smaller ids.
+  /// The cleaner's thread id comes from ThreadRegistry::try_acquire_high
+  /// (ThreadSlotsExhaustedError if none is free) and goes back in stop().
   explicit BundleCleaner(DS& ds,
                          std::chrono::milliseconds delay =
                              std::chrono::milliseconds(10))
-      : ds_(&ds), delay_(delay) {
-    thread_ = std::thread([this] { run(); });
+      : ds_(&ds),
+        delay_(delay),
+        tid_(ThreadRegistry::instance().try_acquire_high()) {
+    if (tid_ < 0) throw ThreadSlotsExhaustedError();
+    try {
+      thread_ = std::thread([this] { run(); });
+    } catch (...) {
+      ThreadRegistry::instance().release(tid_);
+      throw;
+    }
   }
 
   ~BundleCleaner() { stop(); }
@@ -47,6 +55,7 @@ class BundleCleaner {
     }
     cv_.notify_all();
     thread_.join();
+    ThreadRegistry::instance().release(tid_);
   }
 
   uint64_t entries_reclaimed() const {
@@ -67,8 +76,6 @@ class BundleCleaner {
     }
   }
 
-  static constexpr int kCleanerTid = kMaxThreads - 1;
-
  private:
   void run() {
     std::unique_lock<std::mutex> lk(mu_);
@@ -77,7 +84,7 @@ class BundleCleaner {
         cv_.wait_for(lk, delay_, [this] { return stopped_; });
       if (stopped_) return;
       lk.unlock();
-      reclaimed_.fetch_add(ds_->prune_bundles(kCleanerTid),
+      reclaimed_.fetch_add(ds_->prune_bundles(tid_),
                            std::memory_order_relaxed);
       // A prune pass holds one long EBR pin, which blocks every epoch
       // advance for its duration; with small delays that starves
@@ -85,7 +92,7 @@ class BundleCleaner {
       // re-allocate). Between passes, push the epoch and drain our own
       // bags so pruned entries reach the owners' pools within ~a pass.
       if constexpr (requires(DS& d) { d.ebr(); }) {
-        ds_->ebr().quiesce(kCleanerTid);
+        ds_->ebr().quiesce(tid_);
       }
       passes_.fetch_add(1, std::memory_order_relaxed);
       lk.lock();
@@ -95,6 +102,7 @@ class BundleCleaner {
 
   DS* ds_;
   std::chrono::milliseconds delay_;
+  const int tid_;
   std::thread thread_;
   std::mutex mu_;
   std::condition_variable cv_;

@@ -148,7 +148,9 @@ class BundledCitrus {
     }
   }
 
-  /// Linearizable range query over [lo, hi]; result sorted by key.
+  /// Linearizable range query over [lo, hi]; result sorted by key. A
+  /// collect that finds a bundle with no entry satisfying ts restarts at a
+  /// fresh ts.
   size_t range_query(int tid, K lo, K hi, std::vector<std::pair<K, V>>& out) {
     out.clear();
     if (lo > hi) {
@@ -157,53 +159,10 @@ class BundledCitrus {
       return 0;
     }
     OptEbrGuard g(ebr_, tid, reclaim_);
-    std::vector<Node*> stack;
     for (;;) {
       const timestamp_t ts = rq_.begin(tid, gts_);
-      bool ok = true;
-      // Descend via bundles to the root of the smallest subtree covering
-      // [lo, hi] in the snapshot.
-      auto d = root_->bundles[0].dereference(ts);
-      if (!d.found) continue;
-      Node* m = d.ptr;
-      while (m != nullptr && (m->key < lo || m->key > hi)) {
-        const int dir = (m->key < lo) ? 1 : 0;
-        auto dn = m->bundles[dir].dereference(ts);
-        if (!dn.found) {
-          ok = false;
-          break;
-        }
-        m = dn.ptr;
-      }
-      if (!ok) continue;
       out.clear();
-      if (m != nullptr) {
-        stack.clear();
-        stack.push_back(m);
-        while (!stack.empty()) {
-          Node* n = stack.back();
-          stack.pop_back();
-          if (n->key >= lo && n->key <= hi) out.emplace_back(n->key, n->val);
-          if (n->key > lo) {  // left subtree can intersect the range
-            auto dl = n->bundles[0].dereference(ts);
-            if (!dl.found) {
-              ok = false;
-              break;
-            }
-            if (dl.ptr != nullptr) stack.push_back(dl.ptr);
-          }
-          if (n->key < hi) {  // right subtree can intersect the range
-            auto dr = n->bundles[1].dereference(ts);
-            if (!dr.found) {
-              ok = false;
-              break;
-            }
-            if (dr.ptr != nullptr) stack.push_back(dr.ptr);
-          }
-        }
-      }
-      if (!ok) continue;
-      std::sort(out.begin(), out.end());
+      if (!collect(ts, lo, hi, out)) continue;
       rq_.end(tid);
       *last_rq_ts_[tid] = ts;
       return out.size();
@@ -225,7 +184,6 @@ class BundledCitrus {
                         std::vector<std::pair<K, V>>& out) {
     (void)tid;
     if (lo > hi) return 0;
-    std::vector<Node*> stack;
     const size_t base = out.size();
     for (uint64_t attempts = 0;; ++attempts) {
       // Repeated failure = ts was never announced and the cleaner pruned
@@ -233,48 +191,7 @@ class BundledCitrus {
       assert(attempts < (1u << 20) &&
              "range_query_at: ts not announced in rq_tracker()?");
       out.resize(base);
-      bool ok = true;
-      auto d = root_->bundles[0].dereference(ts);
-      if (!d.found) continue;  // defensive; ts-0 root entry satisfies ts
-      Node* m = d.ptr;
-      while (m != nullptr && (m->key < lo || m->key > hi)) {
-        const int dir = (m->key < lo) ? 1 : 0;
-        auto dn = m->bundles[dir].dereference(ts);
-        if (!dn.found) {
-          ok = false;
-          break;
-        }
-        m = dn.ptr;
-      }
-      if (!ok) continue;
-      if (m != nullptr) {
-        stack.clear();
-        stack.push_back(m);
-        while (!stack.empty()) {
-          Node* n = stack.back();
-          stack.pop_back();
-          if (n->key >= lo && n->key <= hi) out.emplace_back(n->key, n->val);
-          if (n->key > lo) {
-            auto dl = n->bundles[0].dereference(ts);
-            if (!dl.found) {
-              ok = false;
-              break;
-            }
-            if (dl.ptr != nullptr) stack.push_back(dl.ptr);
-          }
-          if (n->key < hi) {
-            auto dr = n->bundles[1].dereference(ts);
-            if (!dr.found) {
-              ok = false;
-              break;
-            }
-            if (dr.ptr != nullptr) stack.push_back(dr.ptr);
-          }
-        }
-      }
-      if (!ok) continue;
-      std::sort(out.begin() + static_cast<ptrdiff_t>(base), out.end());
-      return out.size() - base;
+      if (collect(ts, lo, hi, out)) return out.size() - base;
     }
   }
 
@@ -372,6 +289,36 @@ class BundledCitrus {
       curr = pred->child[d].load(std::memory_order_acquire);
     }
     return {pred, curr, dir, tag};
+  }
+
+  /// The snapshot walk of Algorithm 3 for the tree layout: descend via
+  /// bundles from the root sentinel to the smallest subtree covering
+  /// [lo, hi] at `ts`, then DFS it through bundles, appending the in-range
+  /// nodes to `out` in key order. Returns false, with a partial `out`,
+  /// when some bundle has no entry satisfying `ts`.
+  bool collect(timestamp_t ts, K lo, K hi,
+               std::vector<std::pair<K, V>>& out) const {
+    const size_t base = out.size();
+    BundleDeref<Node> d = root_->bundles[0].dereference(ts);
+    while (d.found && d.ptr != nullptr && (d.ptr->key < lo || d.ptr->key > hi))
+      d = d.ptr->bundles[d.ptr->key < lo ? 1 : 0].dereference(ts);
+    if (!d.found) return false;
+    std::vector<Node*> stack;
+    if (d.ptr != nullptr) stack.push_back(d.ptr);
+    while (!stack.empty()) {
+      Node* n = stack.back();
+      stack.pop_back();
+      if (n->key >= lo && n->key <= hi) out.emplace_back(n->key, n->val);
+      // A subtree is walked only if it can intersect the range.
+      for (const int dir : {0, 1}) {
+        if (dir == 0 ? n->key <= lo : n->key >= hi) continue;
+        d = n->bundles[dir].dereference(ts);
+        if (!d.found) return false;
+        if (d.ptr != nullptr) stack.push_back(d.ptr);
+      }
+    }
+    std::sort(out.begin() + static_cast<ptrdiff_t>(base), out.end());
+    return true;
   }
 
   void remove_simple(int tid, Node* pred, Node* curr, int dir, Node* splice) {

@@ -119,7 +119,11 @@ class BundledList {
     }
   }
 
-  /// Linearizable range query (Algorithm 3): inclusive [lo, hi].
+  /// Linearizable range query (Algorithm 3): inclusive [lo, hi]. Phase 1
+  /// reaches the node preceding the range optimistically (newest
+  /// pointers); collect_linked then walks strictly through bundles, so it
+  /// visits exactly the nodes in range at the snapshot. If the entry node
+  /// was inserted after the snapshot, no entry satisfies ts -> restart.
   size_t range_query(int tid, K lo, K hi, std::vector<std::pair<K, V>>& out) {
     out.clear();
     if (lo > hi) {
@@ -130,49 +134,13 @@ class BundledList {
     OptEbrGuard g(ebr_, tid, reclaim_);
     for (;;) {
       const timestamp_t ts = rq_.begin(tid, gts_);
-      // Phase 1: optimistic traversal (newest pointers) to the node
-      // preceding the range.
-      Node* pred = head_;
-      {
-        Node* c = pred->next.load(std::memory_order_acquire);
-        while (c->key < lo) {
-          pred = c;
-          c = c->next.load(std::memory_order_acquire);
-        }
-      }
-      // Phase 2: enter the range strictly through bundles. If pred was
-      // inserted after our snapshot, no entry satisfies ts -> restart.
-      auto d = pred->bundle.dereference(ts);
-      if (!d.found) continue;
-      Node* curr = d.ptr;
-      bool ok = true;
-      while (curr != tail_ && curr->key < lo) {
-        auto dn = curr->bundle.dereference(ts);
-        if (!dn.found) {
-          ok = false;
-          break;
-        }
-        curr = dn.ptr;
-      }
-      if (!ok) continue;
-      // Phase 3: collect the snapshot — exactly the nodes in range at ts.
       out.clear();
-      uint64_t in_range_visits = 0;
-      while (curr != tail_ && curr->key <= hi) {
-        ++in_range_visits;
-        out.emplace_back(curr->key, curr->val);
-        auto dn = curr->bundle.dereference(ts);
-        if (!dn.found) {
-          ok = false;
-          break;
-        }
-        curr = dn.ptr;
-      }
-      if (!ok) continue;
+      if (!collect_linked(traverse(lo).first, tail_, ts, lo, hi, out))
+        continue;
       rq_.end(tid);
-      // Minimality (Section 4): within the range, the walk touches exactly
-      // the snapshot's nodes — never multiple versions, never restarts.
-      *rq_in_range_visits_[tid] = in_range_visits;
+      // Minimality (Section 4): the walk appends every in-range node it
+      // visits — never multiple versions, never restarts within the range.
+      *rq_in_range_visits_[tid] = out.size();
       *last_rq_ts_[tid] = ts;
       return out.size();
     }
@@ -205,28 +173,9 @@ class BundledList {
     OptEbrGuard g(ebr_, tid, reclaim_);
     for (;;) {
       const timestamp_t ts = rq_.begin(tid, gts_);
-      Node* curr = head_;  // min sentinel: its bundle has a ts-0 entry
-      bool ok = true;
-      while (curr != tail_ && curr->key < lo) {
-        auto d = curr->bundle.dereference(ts);
-        if (!d.found) {
-          ok = false;
-          break;
-        }
-        curr = d.ptr;
-      }
-      if (!ok) continue;
       out.clear();
-      while (curr != tail_ && curr->key <= hi) {
-        out.emplace_back(curr->key, curr->val);
-        auto d = curr->bundle.dereference(ts);
-        if (!d.found) {
-          ok = false;
-          break;
-        }
-        curr = d.ptr;
-      }
-      if (!ok) continue;
+      // The head sentinel's bundle has a ts-0 entry.
+      if (!collect_linked(head_, tail_, ts, lo, hi, out)) continue;
       rq_.end(tid);
       *last_rq_ts_[tid] = ts;
       return out.size();
@@ -262,39 +211,10 @@ class BundledList {
       assert(attempts < (1u << 20) &&
              "range_query_at: ts not announced in rq_tracker()?");
       out.resize(base);
-      // Optimistic entry (Alg. 3 phase 1) to the node preceding the range.
-      Node* pred = head_;
-      {
-        Node* c = pred->next.load(std::memory_order_acquire);
-        while (c->key < lo) {
-          pred = c;
-          c = c->next.load(std::memory_order_acquire);
-        }
-      }
-      // Phase 2 at the fixed ts; fall back to the sentinel when pred
-      // postdates the snapshot.
-      Node* curr = pred->bundle.dereference(ts).found ? pred : head_;
-      bool ok = true;
-      while (curr != tail_ && curr->key < lo) {
-        auto d = curr->bundle.dereference(ts);
-        if (!d.found) {
-          ok = false;
-          break;
-        }
-        curr = d.ptr;
-      }
-      while (ok && curr != tail_ && curr->key <= hi) {
-        out.emplace_back(curr->key, curr->val);
-        auto d = curr->bundle.dereference(ts);
-        if (!d.found) {
-          ok = false;
-          break;
-        }
-        curr = d.ptr;
-      }
-      // ok is an invariant given the announce contract (see above); the
-      // retry is defensive, not a livelock risk under the protocol.
-      if (ok) return out.size() - base;
+      Node* pred = traverse(lo).first;
+      if (!pred->bundle.dereference(ts).found) pred = head_;
+      if (collect_linked(pred, tail_, ts, lo, hi, out))
+        return out.size() - base;
     }
   }
 

@@ -177,7 +177,8 @@ class BundledSkipList {
   }
 
   /// Linearizable range query: index layers route to the data-layer node
-  /// preceding the range; from there the walk uses bundles only.
+  /// preceding the range; from there collect_linked walks bundles only. If
+  /// that node postdates the snapshot, restart at a fresh ts.
   size_t range_query(int tid, K lo, K hi, std::vector<std::pair<K, V>>& out) {
     out.clear();
     if (lo > hi) {
@@ -191,37 +192,12 @@ class BundledSkipList {
     for (;;) {
       const timestamp_t ts = rq_.begin(tid, gts_);
       find(lo, preds, succs);
-      Node* pred = preds[0];  // data-layer node with key < lo
-      auto d = pred->bundle.dereference(ts);
-      if (!d.found) continue;  // pred newer than our snapshot: restart
-      Node* curr = d.ptr;
-      bool ok = true;
-      while (curr != tail_ && curr->key < lo) {
-        auto dn = curr->bundle.dereference(ts);
-        if (!dn.found) {
-          ok = false;
-          break;
-        }
-        curr = dn.ptr;
-      }
-      if (!ok) continue;
       out.clear();
-      uint64_t in_range_visits = 0;
-      while (curr != tail_ && curr->key <= hi) {
-        ++in_range_visits;
-        out.emplace_back(curr->key, curr->val);
-        auto dn = curr->bundle.dereference(ts);
-        if (!dn.found) {
-          ok = false;
-          break;
-        }
-        curr = dn.ptr;
-      }
-      if (!ok) continue;
+      if (!collect_linked(preds[0], tail_, ts, lo, hi, out)) continue;
       rq_.end(tid);
       // Minimality (Sections 4-5): the in-range walk touches exactly the
       // snapshot's nodes.
-      *rq_in_range_visits_[tid] = in_range_visits;
+      *rq_in_range_visits_[tid] = out.size();
       *last_rq_ts_[tid] = ts;
       return out.size();
     }
@@ -253,28 +229,9 @@ class BundledSkipList {
     OptEbrGuard g(ebr_, tid, reclaim_);
     for (;;) {
       const timestamp_t ts = rq_.begin(tid, gts_);
-      Node* curr = head_;  // min sentinel: its bundle has a ts-0 entry
-      bool ok = true;
-      while (curr != tail_ && curr->key < lo) {
-        auto d = curr->bundle.dereference(ts);
-        if (!d.found) {
-          ok = false;
-          break;
-        }
-        curr = d.ptr;
-      }
-      if (!ok) continue;
       out.clear();
-      while (curr != tail_ && curr->key <= hi) {
-        out.emplace_back(curr->key, curr->val);
-        auto d = curr->bundle.dereference(ts);
-        if (!d.found) {
-          ok = false;
-          break;
-        }
-        curr = d.ptr;
-      }
-      if (!ok) continue;
+      // The head sentinel's bundle has a ts-0 entry.
+      if (!collect_linked(head_, tail_, ts, lo, hi, out)) continue;
       rq_.end(tid);
       *last_rq_ts_[tid] = ts;
       return out.size();
@@ -304,26 +261,9 @@ class BundledSkipList {
       out.resize(base);
       find(lo, preds, succs);
       Node* pred = preds[0];  // data-layer node with key < lo
-      Node* curr = pred->bundle.dereference(ts).found ? pred : head_;
-      bool ok = true;
-      while (curr != tail_ && curr->key < lo) {
-        auto d = curr->bundle.dereference(ts);
-        if (!d.found) {
-          ok = false;
-          break;
-        }
-        curr = d.ptr;
-      }
-      while (ok && curr != tail_ && curr->key <= hi) {
-        out.emplace_back(curr->key, curr->val);
-        auto d = curr->bundle.dereference(ts);
-        if (!d.found) {
-          ok = false;
-          break;
-        }
-        curr = d.ptr;
-      }
-      if (ok) return out.size() - base;
+      if (!pred->bundle.dereference(ts).found) pred = head_;
+      if (collect_linked(pred, tail_, ts, lo, hi, out))
+        return out.size() - base;
     }
   }
 

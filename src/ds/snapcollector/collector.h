@@ -62,6 +62,9 @@ class SnapCollectorCore {
   void publish(int tid, Collector* col) {
     hwm_.note(tid);
     collectors_[tid]->store(col, std::memory_order_seq_cst);
+    // Pairs with report()'s fence: the traversal sees an update's store,
+    // or that update's report() sees this collector.
+    std::atomic_thread_fence(std::memory_order_seq_cst);
   }
 
   /// Seal and withdraw the collector; returns the reports captured before
@@ -87,6 +90,9 @@ class SnapCollectorCore {
   /// Deliver a report to every published, unsealed collector whose range
   /// covers the key. Must be called inside an UpdateWindow.
   void report(Node* n, K key, bool is_insert) {
+    // Orders the caller's linearizing (release) store before the loads
+    // below; see publish().
+    std::atomic_thread_fence(std::memory_order_seq_cst);
     const int n_threads = hwm_.get();
     for (int i = 0; i < n_threads; ++i) {
       Collector* col = collectors_[i]->load(std::memory_order_seq_cst);

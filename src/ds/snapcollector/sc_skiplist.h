@@ -188,7 +188,9 @@ class SnapCollectorSkipList {
         curr = curr->next[l].load(std::memory_order_acquire);
       }
     }
+    // An insert between pred and lo may have landed since the descent.
     Node* curr = pred->next[0].load(std::memory_order_acquire);
+    while (curr->key < lo) curr = curr->next[0].load(std::memory_order_acquire);
     while (curr != tail_ && curr->key <= hi) {
       if (curr->fully_linked.load(std::memory_order_acquire) &&
           !curr->marked.load(std::memory_order_acquire))

@@ -260,31 +260,25 @@ class Rlu {
    private:
     void commit() {
       // Publish intent: readers with local_clock >= write_clock steal our
-      // copies; everyone older must be drained before write-back. Two
-      // subtleties, both load-bearing for the synchronize() early-exit:
-      //  * The write clock must be *unique* — the fetch-add result, not
-      //    the seed's shared `g_clock+1`. With a shared value, a reader
-      //    could satisfy local_clock >= wc through another writer's tick,
-      //    with no happens-before edge to OUR locks: it reads a stale
-      //    unlocked header, takes the master, and races with the
-      //    write-back below (reachable even under SC; TSan caught it once
-      //    the suppressions came off). With the unique value, local_clock
-      //    >= wc implies the reader's clock load synchronized with our
-      //    fetch-add (release sequence through the RMW chain), which
-      //    happens-after every lock we hold — so it must see them and
-      //    steal.
-      //  * A lower bound must be visible *before* the tick: a reader
-      //    synced with our fetch-add could otherwise read a stale
-      //    kInfClock here, conclude it must not steal, and fall back to
-      //    the master mid-write-back. Stealing against the lower bound is
-      //    safe — the log is final by now, only the final timestamp may
-      //    still grow.
+      // copies; everyone older must be drained before write-back.
+      //  * The steal threshold is the lower bound lb = g_clock+1, set
+      //    *before* the tick (a reader synced with our fetch-add must not
+      //    see kInfClock and read the master mid-write-back) and never
+      //    raised: raising it to the tick value wc would let a reader with
+      //    a clock in [lb, wc) steal and a later one in the same window
+      //    read the old master, so snapshots would go backwards. Stealing
+      //    against lb is safe; the log is final by now.
+      //  * synchronize() waits on the *unique* wc: its early exit
+      //    (local_clock >= wc) holds only because such a reader's clock
+      //    load synchronized with our fetch-add, which happens-after every
+      //    lock we hold, so it steals. A clock in [lb, wc) may come from
+      //    another writer's tick with no edge to our locks; that reader
+      //    may take the master, so it is waited out.
       t_.write_clock.store(rlu_.g_clock_.load(std::memory_order_acquire) + 1,
                            std::memory_order_seq_cst);
       t_.in_sync.store(true, std::memory_order_seq_cst);
       const uint64_t wc =
           rlu_.g_clock_.fetch_add(1, std::memory_order_seq_cst) + 1;
-      t_.write_clock.store(wc, std::memory_order_seq_cst);
       synchronize(wc);
       // Write back copies into originals, then detach.
       for (auto& e : t_.log) {

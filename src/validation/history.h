@@ -11,8 +11,10 @@
 // response precedes the other's invocation — the standard real-time order
 // of Herlihy & Wing. Clock-read overhead only widens windows, which can
 // only make a non-linearizable history look linearizable with lower
-// probability, never flag a correct one.
+// probability, never flag a correct one — provided each stamp is ordered
+// against the op's own memory accesses (now_ns()'s fences).
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <string>
@@ -65,11 +67,16 @@ struct Op {
 
 using History = std::vector<Op>;
 
+/// Invocation/response stamp. The fences keep the clock read from passing
+/// the op's own accesses: otherwise a response can be stamped while the
+/// op's linearizing store still sits in the store buffer, and a later op
+/// that misses the store looks like a violation.
 inline uint64_t now_ns() {
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+  const auto t = std::chrono::steady_clock::now().time_since_epoch();
+  std::atomic_thread_fence(std::memory_order_seq_cst);
   return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
+      std::chrono::duration_cast<std::chrono::nanoseconds>(t).count());
 }
 
 /// Per-thread operation log. One instance per worker thread; no sharing.

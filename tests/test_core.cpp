@@ -285,6 +285,7 @@ TEST(RqTracker, OldestActiveIsMinOfAnnouncedAndClock) {
 }
 
 namespace rq_pending_test {
+std::atomic<bool> entered{false};
 std::atomic<bool> release{false};
 }  // namespace rq_pending_test
 
@@ -292,18 +293,23 @@ TEST(RqTracker, OldestActiveWaitsOutPendingAnnounce) {
   GlobalTimestamp gts;
   RqTracker rq;
   for (int i = 0; i < 5; ++i) gts.advance();  // clock = 5
+  rq_pending_test::entered = false;
   rq_pending_test::release = false;
   // Stall the query between reading the clock and publishing its value —
   // the exact window the PENDING protocol exists for.
   SyncHooks::rq_mid_announce.store(
       +[] {
+        rq_pending_test::entered.store(true, std::memory_order_release);
         while (!rq_pending_test::release.load(std::memory_order_acquire))
           cpu_relax();
       },
       std::memory_order_relaxed);
   std::thread query([&] { EXPECT_EQ(rq.begin(1, gts), 5u); });
-  // Wait until the query has posted PENDING (counted as active).
-  while (rq.active_count() == 0) cpu_relax();
+  // Wait until the query is inside the hook (PENDING posted, clock read).
+  // active_count() > 0 is not enough: the reset below could then beat the
+  // query's hook load, and the query would never stall.
+  while (!rq_pending_test::entered.load(std::memory_order_acquire))
+    cpu_relax();
   SyncHooks::reset();  // only the already-in-flight announce should stall
   for (int i = 0; i < 5; ++i) gts.advance();  // clock = 10
   std::atomic<timestamp_t> observed{RqTracker::kNone};
@@ -345,10 +351,32 @@ TEST(BundleCleaner, PrunesQuiescentListToMinimalEntries) {
   EXPECT_TRUE(list.check_invariants());
 }
 
+// The cleaner's thread id comes from the registry: a background service or
+// session acquiring from the top of the id space while the cleaner runs
+// must get a different id (a shared id would share EBR and tracker slots).
+TEST(BundleCleaner, HoldsARegistryIdUntilStopped) {
+  ThreadRegistry& reg = ThreadRegistry::instance();
+  const int top = reg.try_acquire_high();  // the id a cleaner would take
+  ASSERT_GE(top, 0);
+  reg.release(top);
+  BundleListSet list;
+  BundleCleaner<BundleListSet> cleaner(list, std::chrono::milliseconds(1));
+  const int other = reg.try_acquire_high();
+  ASSERT_GE(other, 0);
+  EXPECT_NE(other, top) << "try_acquire_high handed out the cleaner's id";
+  reg.release(other);
+  cleaner.stop();
+  const int after = reg.try_acquire_high();
+  EXPECT_EQ(after, top) << "stop() did not return the cleaner's id";
+  reg.release(after);
+}
+
 // ---------- range-query entry-path ablation ----------
-// range_query_from_start() (all-bundle traversal from the head sentinel)
-// must produce the same snapshots as the shipped optimistic-entry path;
-// only the cost differs (bench/ablation_entry_path).
+// Every entry policy over the one snapshot walk must produce the same
+// snapshots as the shipped optimistic-entry path; only the cost differs
+// (bench/ablation_entry_path): range_query_from_start() (all-bundle
+// traversal from the head sentinel, list layouts only) and
+// range_query_at() at an announced timestamp (which appends to `out`).
 
 template <typename DS>
 void expect_entry_paths_agree_quiescent() {
@@ -366,8 +394,18 @@ void expect_entry_paths_agree_quiescent() {
     KeyT lo = 1 + static_cast<KeyT>(rng.next_range(1000));
     KeyT hi = lo + static_cast<KeyT>(rng.next_range(200));
     ds.range_query(0, lo, hi, a);
-    ds.range_query_from_start(0, lo, hi, b);
-    EXPECT_EQ(a, b) << "range [" << lo << "," << hi << "]";
+    if constexpr (requires { ds.range_query_from_start(0, lo, hi, b); }) {
+      ds.range_query_from_start(0, lo, hi, b);
+      EXPECT_EQ(a, b) << "from_start, range [" << lo << "," << hi << "]";
+    }
+    const timestamp_t ts = ds.rq_tracker().begin(0, ds.global_timestamp());
+    b.assign(1, {-1, -1});  // range_query_at appends after this prefix
+    const size_t n = ds.range_query_at(0, ts, lo, hi, b);
+    ds.rq_tracker().end(0);
+    EXPECT_EQ(n, a.size()) << "at, range [" << lo << "," << hi << "]";
+    ASSERT_EQ(b.front(), std::make_pair(KeyT{-1}, ValT{-1}));
+    b.erase(b.begin());
+    EXPECT_EQ(a, b) << "at, range [" << lo << "," << hi << "]";
   }
 }
 
@@ -377,6 +415,10 @@ TEST(EntryPathAblation, ListPathsReturnIdenticalSnapshots) {
 
 TEST(EntryPathAblation, SkipListPathsReturnIdenticalSnapshots) {
   expect_entry_paths_agree_quiescent<BundleSkipListSet>();
+}
+
+TEST(EntryPathAblation, CitrusPathsReturnIdenticalSnapshots) {
+  expect_entry_paths_agree_quiescent<BundleCitrusSet>();
 }
 
 template <typename DS>
