@@ -49,7 +49,7 @@ void BM_Bundle_PrepareFinalize(benchmark::State& state) {
   timestamp_t ts = 0;
   for (auto _ : state) {
     auto* e = b.prepare(0, &n);
-    Bundle<FakeNode>::finalize(e, ++ts);
+    b.finalize(e, ++ts);
   }
   state.SetItemsProcessed(state.iterations());
 }
@@ -63,7 +63,7 @@ void BM_Bundle_DereferenceDepth(benchmark::State& state) {
   FakeNode n{0};
   b.init(&n, 0);
   for (int i = 1; i <= depth; ++i)
-    Bundle<FakeNode>::finalize(b.prepare(0, &n), 100 + i);
+    b.finalize(b.prepare(0, &n), 100 + i);
   for (auto _ : state) benchmark::DoNotOptimize(b.dereference(100));
   state.SetItemsProcessed(state.iterations());
 }
@@ -92,7 +92,7 @@ void update_hot_path(benchmark::State& state) {
   for (auto _ : state) {
     ebr.pin(tid);
     auto* e = b.prepare(tid, &n);
-    Bundle<FakeNode>::finalize(e, ++ts);
+    b.finalize(e, ++ts);
     // Bounded history, as under the background cleaner: prune everything a
     // ts-8 snapshot no longer needs, letting EBR recycle it to the pool.
     if ((ts & 15) == 0) b.reclaim_older(ts - 8, ebr, tid);

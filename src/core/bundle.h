@@ -30,6 +30,18 @@
 //   an update's entry is prepended before the clock ticks, so a range
 //   query that reads clock value T is ordered after every update stamped
 //   <= T and must find its entry at or below the head it loads.
+//
+//   The head entry's (ts, ptr) is also kept inline in the Bundle, ahead of
+//   `head_`, so the common dereference — the snapshot already covers the
+//   newest entry — reads the node's own cache line and no entry. The pair
+//   is a seqlock: prepare() stores PENDING into `newest_ts_` (before the
+//   clock ticks) and then RELEASE-stores the pointer; finalize() RELEASE-
+//   stores the final ts before stamping the entry, so the next preparer's
+//   PENDING lands after it. A reader ACQUIRE-loads ts, ACQUIRE-loads ptr and
+//   rereads ts; equal reads mean the pointer belongs to a finalized entry
+//   stamped with that ts (under the relaxed clock, possibly a later entry
+//   with the same ts — still a real finalized state). Anything else falls
+//   back to the chain walk.
 
 #include <atomic>
 #include <cassert>
@@ -142,6 +154,8 @@ class Bundle {
     Entry* e = new Entry(kPoolMalloced);
     e->ptr = ptr;
     e->ts.store(ts, std::memory_order_relaxed);
+    newest_ts_.store(ts, std::memory_order_relaxed);
+    newest_ptr_.store(ptr, std::memory_order_relaxed);
     head_.store(e, std::memory_order_release);
   }
 
@@ -171,6 +185,11 @@ class Bundle {
       if (head_.compare_exchange_weak(expected, fresh,
                                       std::memory_order_release,
                                       std::memory_order_relaxed)) {
+        // Open the inline seqlock before the clock ticks: a query whose
+        // snapshot covers this update must see PENDING (or later) here.
+        // The release on the pointer orders the PENDING store before it.
+        newest_ts_.store(kPendingTs, std::memory_order_relaxed);
+        newest_ptr_.store(ptr, std::memory_order_release);
         return fresh;
       }
     }
@@ -180,7 +199,7 @@ class Bundle {
   /// against the next-older entry keeps the chain ordered under the relaxed
   /// timestamp policy (Fig. 5), where two threads may hold the same clock
   /// value; with the linearizable policy it never fires.
-  static void finalize(Entry* e, timestamp_t ts) {
+  void finalize(Entry* e, timestamp_t ts) {
     // Both relaxed loads reread values this thread already read with
     // acquire in prepare() (its own stores, and the pending-wait on the
     // older entry); coherence pins them.
@@ -194,18 +213,40 @@ class Bundle {
     // *after* our fetch-add if its snapshot covers us), and the entry
     // itself was already published by prepare()'s CAS. The stamp only has
     // to release the waiting readers spinning in dereference().
+    // The inline ts goes first: the next preparer acquires e->ts before
+    // its head CAS, so its PENDING store lands after this one.
+    newest_ts_.store(ts, std::memory_order_release);
     e->ts.store(ts, std::memory_order_release);
   }
 
   /// DereferenceBundle (Section 3.3): wait out a pending head, then return
-  /// the newest link whose timestamp is <= `ts`.
+  /// the newest link whose timestamp is <= `ts`. The inline pair answers
+  /// when the snapshot covers the newest entry; older snapshots walk the
+  /// chain.
   BundleDeref<NodeT> dereference(timestamp_t ts) const {
+    // Acquire pairs with finalize()'s release of the inline ts, so the
+    // pointer stored before it is visible. Waiting out PENDING here is the
+    // chain walk's pending-head wait (an update that prepared before our
+    // snapshot's clock read is at least PENDING in newest_ts_).
+    Backoff bo;
+    timestamp_t t;
+    while ((t = newest_ts_.load(std::memory_order_acquire)) == kPendingTs)
+      bo.pause();
+    if (t <= ts) {
+      // Acquire: if this is a newer preparer's pointer, its PENDING store
+      // happens-before the reread, which then cannot return `t` unless a
+      // finalized entry with that same ts holds this pointer.
+      NodeT* p = newest_ptr_.load(std::memory_order_acquire);
+      if (newest_ts_.load(std::memory_order_relaxed) == t) {
+        obs_sample_bundle_depth(1);
+        return {p, true};
+      }
+    }
     // Acquire: happens-after the publication of every entry reachable from
     // this head (transitivity argument, header comment) — which is what
     // lets every per-hop load below be relaxed.
     Entry* e = head_.load(std::memory_order_acquire);
     if (e != nullptr) {
-      Backoff bo;
       // Acquire pairs with finalize()'s release; only the head can be
       // pending (prepare() waits before prepending).
       while (e->ts.load(std::memory_order_acquire) == kPendingTs) bo.pause();
@@ -271,6 +312,22 @@ class Bundle {
   }
 
   // -- introspection (tests, space-overhead accounting) -----------------
+  /// Quiescent check: the inline pair equals the head entry's (ts, ptr).
+  bool inline_matches_head() const {
+    const Entry* e = head_.load(std::memory_order_acquire);
+    if (e == nullptr)
+      return newest_ts_.load(std::memory_order_acquire) == kNoEntryTs;
+    return newest_ts_.load(std::memory_order_acquire) ==
+               e->ts.load(std::memory_order_acquire) &&
+           newest_ptr_.load(std::memory_order_acquire) == e->ptr;
+  }
+
+  /// Bytes from the start of a Bundle to the end of its inline pair: what
+  /// a fast-path dereference reads.
+  static constexpr size_t inline_pair_end() {
+    return offsetof(Bundle, newest_ptr_) + sizeof(newest_ptr_);
+  }
+
   size_t size() const {
     size_t n = 0;
     for (Entry* e = head_.load(std::memory_order_acquire); e != nullptr;
@@ -298,6 +355,14 @@ class Bundle {
     return e;
   }
 
+  /// Inline ts of an empty bundle: above every clock value, so a snapshot
+  /// never takes the fast path before the first entry exists.
+  static constexpr timestamp_t kNoEntryTs = kPendingTs - 1;
+
+  // Inline copy of the head entry's (ts, ptr), declared first so a node
+  // that places its Bundle right after the key reads both on one line.
+  std::atomic<timestamp_t> newest_ts_{kNoEntryTs};
+  std::atomic<NodeT*> newest_ptr_{nullptr};
   std::atomic<Entry*> head_{nullptr};
 };
 
@@ -305,16 +370,20 @@ class Bundle {
 /// data layer): from `entry` (key < lo, or the head sentinel) follow
 /// bundles at `ts`, hop past keys < `lo`, and append every node in
 /// [`lo`, `hi`] — exactly the snapshot's nodes (minimality, §4). Returns
-/// false, leaving a partial `out`, when a bundle has no entry satisfying
-/// `ts` (its node postdates the snapshot).
+/// the number of bundle dereferences made (at least 1; `out.size() + 1`
+/// from the snapshot's predecessor of `lo`), or 0, leaving a partial
+/// `out`, when a bundle has no entry satisfying `ts` (its node postdates
+/// the snapshot).
 template <typename NodeT, typename K, typename V>
-bool collect_linked(NodeT* entry, const NodeT* tail, timestamp_t ts, K lo,
-                    K hi, std::vector<std::pair<K, V>>& out) {
+size_t collect_linked(NodeT* entry, const NodeT* tail, timestamp_t ts, K lo,
+                      K hi, std::vector<std::pair<K, V>>& out) {
+  size_t hops = 0;
   for (NodeT* curr = entry;;) {
     const BundleDeref<NodeT> d = curr->bundle.dereference(ts);
-    if (!d.found) return false;
+    if (!d.found) return 0;
+    ++hops;
     curr = d.ptr;
-    if (curr == tail || curr->key > hi) return true;
+    if (curr == tail || curr->key > hi) return hops;
     if (curr->key >= lo) out.emplace_back(curr->key, curr->val);
   }
 }
@@ -333,17 +402,18 @@ timestamp_t linearize_update(
     GlobalTimestamp& gts, int tid,
     std::initializer_list<std::pair<Bundle<NodeT>*, NodeT*>> bundles,
     LinearizeFn&& linearize) {
-  BundleEntry<NodeT>* prepared[4];
+  std::pair<Bundle<NodeT>*, BundleEntry<NodeT>*> prepared[4];
   int n = 0;
   for (const auto& [bundle, ptr] : bundles) {
     assert(n < 4);
-    prepared[n++] = bundle->prepare(tid, ptr);
+    prepared[n++] = {bundle, bundle->prepare(tid, ptr)};
   }
   SyncHooks::run(SyncHooks::after_prepare);
   const timestamp_t ts = gts.update_ts(tid);
   linearize();  // the operation's linearization point
   SyncHooks::run(SyncHooks::before_finalize);
-  for (int i = 0; i < n; ++i) Bundle<NodeT>::finalize(prepared[i], ts);
+  for (int i = 0; i < n; ++i)
+    prepared[i].first->finalize(prepared[i].second, ts);
   return ts;
 }
 

@@ -240,11 +240,14 @@ class BundledCitrus {
   size_t size_slow() const { return to_vector().size(); }
 
   bool check_invariants() const {
-    // BST order with interval bounds; bundle heads match newest children.
+    // BST order with interval bounds; bundle heads match newest children
+    // and the inline pairs.
     return check_subtree(root_->child[0].load(std::memory_order_acquire),
                          key_min_sentinel<K>(), key_max_sentinel<K>()) &&
            root_->bundles[0].newest() ==
-               root_->child[0].load(std::memory_order_acquire);
+               root_->child[0].load(std::memory_order_acquire) &&
+           root_->bundles[0].inline_matches_head() &&
+           root_->bundles[1].inline_matches_head();
   }
 
   size_t total_bundle_entries() const {
@@ -417,9 +420,10 @@ class BundledCitrus {
     Node* r = n->child[1].load(std::memory_order_acquire);
     if (n->bundles[0].newest() != l || n->bundles[1].newest() != r)
       return false;
-    // Both child bundles' entry chains must be timestamp-ordered
-    // newest-first.
+    // Both child bundles' inline pairs must match their heads, and their
+    // entry chains must be timestamp-ordered newest-first.
     for (int c = 0; c < 2; ++c) {
+      if (!n->bundles[c].inline_matches_head()) return false;
       auto entries = n->bundles[c].snapshot_entries();
       for (size_t i = 1; i < entries.size(); ++i)
         if (entries[i - 1].first < entries[i].first) return false;

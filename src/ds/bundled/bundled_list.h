@@ -31,13 +31,15 @@ namespace bref {
 template <typename K, typename V>
 class BundledList {
  public:
+  /// `key`, `val` and the bundle's inline (ts, ptr) pair come first, so a
+  /// range-query hop reads only the node's first 32 bytes.
   struct Node {
     const K key;
     V val;
+    Bundle<Node> bundle;               // nextPtrBundle
     Spinlock lock;
     std::atomic<bool> marked{false};
     std::atomic<Node*> next{nullptr};  // newestNextPtr (Listing 2)
-    Bundle<Node> bundle;               // nextPtrBundle
 
     Node(K k, V v) : key(k), val(v) {}
   };
@@ -135,23 +137,22 @@ class BundledList {
     for (;;) {
       const timestamp_t ts = rq_.begin(tid, gts_);
       out.clear();
-      if (!collect_linked(traverse(lo).first, tail_, ts, lo, hi, out))
-        continue;
+      const size_t hops =
+          collect_linked(traverse(lo).first, tail_, ts, lo, hi, out);
+      if (hops == 0) continue;
       rq_.end(tid);
-      // Minimality (Section 4): the walk appends every in-range node it
-      // visits — never multiple versions, never restarts within the range.
-      *rq_in_range_visits_[tid] = out.size();
+      *rq_hops_[tid] = hops;
       *last_rq_ts_[tid] = ts;
       return out.size();
     }
   }
 
-  /// Nodes the calling thread's last completed range query visited inside
-  /// [lo, hi]; equals the result size by the minimality property (tested in
-  /// tests/test_properties.cpp).
-  uint64_t last_rq_in_range_visits(int tid) const {
-    return *rq_in_range_visits_[tid];
-  }
+  /// Bundle dereferences the calling thread's last completed range query
+  /// made. Minimality (Section 4): the walk visits every in-range node
+  /// once — never multiple versions, never restarts within the range — so
+  /// on a quiescent list this is the result size plus the one hop that
+  /// ends the walk (tested in tests/test_properties.cpp).
+  uint64_t last_rq_hops(int tid) const { return *rq_hops_[tid]; }
 
   /// Snapshot timestamp the calling thread's last completed range query
   /// linearized at (surfaced as RangeSnapshot::timestamp()).
@@ -261,14 +262,15 @@ class BundledList {
   size_t size_slow() const { return to_vector().size(); }
 
   /// Structural invariants: strictly sorted live chain, bundle heads match
-  /// newest pointers, bundle timestamps strictly ordered.
+  /// newest pointers and the inline pairs, bundle timestamps ordered.
   bool check_invariants() const {
     K prev = key_min_sentinel<K>();
     for (Node* n = head_; n != tail_;
          n = n->next.load(std::memory_order_acquire)) {
       if (n != head_ && n->key <= prev) return false;
       if (n != head_) prev = n->key;
-      if (n->bundle.newest() != n->next.load(std::memory_order_acquire))
+      if (n->bundle.newest() != n->next.load(std::memory_order_acquire) ||
+          !n->bundle.inline_matches_head())
         return false;
       auto entries = n->bundle.snapshot_entries();
       for (size_t i = 1; i < entries.size(); ++i)
@@ -307,7 +309,7 @@ class BundledList {
   const bool reclaim_;
   Node* head_;
   Node* tail_;
-  CachePadded<uint64_t> rq_in_range_visits_[kMaxThreads] = {};
+  CachePadded<uint64_t> rq_hops_[kMaxThreads] = {};
   CachePadded<timestamp_t> last_rq_ts_[kMaxThreads] = {};
 };
 

@@ -35,15 +35,17 @@ class BundledSkipList {
  public:
   static constexpr int kMaxHeight = 20;
 
+  /// `key`, `val` and the bundle's inline (ts, ptr) pair come first, so a
+  /// range-query hop reads only the node's first 32 bytes.
   struct Node {
     const K key;
     V val;
+    Bundle<Node> bundle;  // history of next[0] only (data layer)
     const int top_level;  // levels 0..top_level are linked
     Spinlock lock;
     std::atomic<bool> marked{false};
     std::atomic<bool> fully_linked{false};
     std::atomic<Node*> next[kMaxHeight];
-    Bundle<Node> bundle;  // history of next[0] only (data layer)
 
     Node(K k, V v, int top) : key(k), val(v), top_level(top) {
       for (auto& n : next) n.store(nullptr, std::memory_order_relaxed);
@@ -193,21 +195,20 @@ class BundledSkipList {
       const timestamp_t ts = rq_.begin(tid, gts_);
       find(lo, preds, succs);
       out.clear();
-      if (!collect_linked(preds[0], tail_, ts, lo, hi, out)) continue;
+      const size_t hops = collect_linked(preds[0], tail_, ts, lo, hi, out);
+      if (hops == 0) continue;
       rq_.end(tid);
-      // Minimality (Sections 4-5): the in-range walk touches exactly the
-      // snapshot's nodes.
-      *rq_in_range_visits_[tid] = out.size();
+      *rq_hops_[tid] = hops;
       *last_rq_ts_[tid] = ts;
       return out.size();
     }
   }
 
-  /// Nodes the calling thread's last completed range query visited inside
-  /// [lo, hi]; equals the result size by the minimality property.
-  uint64_t last_rq_in_range_visits(int tid) const {
-    return *rq_in_range_visits_[tid];
-  }
+  /// Bundle dereferences the calling thread's last completed range query
+  /// made. Minimality (Sections 4-5): the walk touches exactly the
+  /// snapshot's nodes, so on a quiescent structure this is the result size
+  /// plus the one hop that ends the walk.
+  uint64_t last_rq_hops(int tid) const { return *rq_hops_[tid]; }
 
   /// Snapshot timestamp the calling thread's last completed range query
   /// linearized at (surfaced as RangeSnapshot::timestamp()).
@@ -309,8 +310,8 @@ class BundledSkipList {
 
   bool check_invariants() const {
     // Sorted data layer; every level-l chain is a subsequence of level l-1;
-    // bundle heads match newest level-0 pointers; bundle entry chains are
-    // timestamp-ordered newest-first.
+    // bundle heads match newest level-0 pointers and the inline pairs;
+    // bundle entry chains are timestamp-ordered newest-first.
     K prev = key_min_sentinel<K>();
     for (Node* n = head_; n != tail_;
          n = n->next[0].load(std::memory_order_acquire)) {
@@ -318,7 +319,8 @@ class BundledSkipList {
         if (n->key <= prev) return false;
         prev = n->key;
       }
-      if (n->bundle.newest() != n->next[0].load(std::memory_order_acquire))
+      if (n->bundle.newest() != n->next[0].load(std::memory_order_acquire) ||
+          !n->bundle.inline_matches_head())
         return false;
       auto entries = n->bundle.snapshot_entries();
       for (size_t i = 1; i < entries.size(); ++i)
@@ -394,7 +396,7 @@ class BundledSkipList {
   Node* head_;
   Node* tail_;
   mutable CachePadded<Xoshiro256> rngs_[kMaxThreads];
-  CachePadded<uint64_t> rq_in_range_visits_[kMaxThreads] = {};
+  CachePadded<uint64_t> rq_hops_[kMaxThreads] = {};
   CachePadded<timestamp_t> last_rq_ts_[kMaxThreads] = {};
 };
 

@@ -3,14 +3,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <limits>
 #include <thread>
+#include <vector>
 
+#include "api/types.h"
+#include "common/random.h"
 #include "core/bundle.h"
 #include "core/bundle_cleaner.h"
 #include "core/global_timestamp.h"
 #include "core/rq_tracker.h"
 #include "core/sync_hooks.h"
+#include "ds/bundled/bundled_skiplist.h"
 #include "epoch/ebr.h"
 #include "test_util.h"
 
@@ -92,9 +98,9 @@ TEST(Bundle, DereferenceRespectsTimestamps) {
   FakeNode n0{0}, n1{1}, n2{2};
   b.init(&n0, 0);
   auto* e1 = b.prepare(0, &n1);
-  Bundle<FakeNode>::finalize(e1, 5);
+  b.finalize(e1, 5);
   auto* e2 = b.prepare(0, &n2);
-  Bundle<FakeNode>::finalize(e2, 9);
+  b.finalize(e2, 9);
 
   EXPECT_EQ(b.dereference(0).ptr, &n0);
   EXPECT_EQ(b.dereference(4).ptr, &n0);
@@ -109,7 +115,7 @@ TEST(Bundle, DereferenceNotFoundBeforeFirstEntry) {
   Bundle<FakeNode> b;
   FakeNode n{7};
   auto* e = b.prepare(0, &n);
-  Bundle<FakeNode>::finalize(e, 3);
+  b.finalize(e, 3);
   auto d = b.dereference(2);
   EXPECT_FALSE(d.found);  // link did not exist at ts=2 -> RQ must restart
 }
@@ -119,7 +125,7 @@ TEST(Bundle, EntriesSortedNewestFirst) {
   FakeNode n{0};
   b.init(&n, 0);
   for (timestamp_t t = 1; t <= 8; ++t)
-    Bundle<FakeNode>::finalize(b.prepare(0, &n), t);
+    b.finalize(b.prepare(0, &n), t);
   auto entries = b.snapshot_entries();
   ASSERT_EQ(entries.size(), 9u);
   for (size_t i = 1; i < entries.size(); ++i)
@@ -130,9 +136,9 @@ TEST(Bundle, FinalizeClampsToKeepOrderUnderRelaxation) {
   Bundle<FakeNode> b;
   FakeNode n{0};
   b.init(&n, 0);
-  Bundle<FakeNode>::finalize(b.prepare(0, &n), 7);
+  b.finalize(b.prepare(0, &n), 7);
   // A relaxed-mode thread with a stale clock tries to stamp 3 after 7.
-  Bundle<FakeNode>::finalize(b.prepare(0, &n), 3);
+  b.finalize(b.prepare(0, &n), 3);
   auto entries = b.snapshot_entries();
   ASSERT_EQ(entries.size(), 3u);
   EXPECT_EQ(entries[0].first, 7u);  // clamped up
@@ -154,10 +160,76 @@ TEST(Bundle, DereferenceBlocksOnPendingHead) {
   while (!started) cpu_relax();
   std::this_thread::sleep_for(std::chrono::milliseconds(30));
   EXPECT_FALSE(done.load());  // still blocked on PENDING
-  Bundle<FakeNode>::finalize(pending, 4);
+  b.finalize(pending, 4);
   reader.join();
   EXPECT_TRUE(done.load());
   EXPECT_EQ(seen, &n1);
+}
+
+// The inline (ts, ptr) pair is a seqlock over the head entry: a reader
+// racing the writers must never pair one entry's ts with another's pointer.
+// Node i is finalized at ts i, so a torn pair shows as a node newer than
+// the snapshot, and a lost update as one older than the last published.
+// Two writers take turns, each preparing i while i-1 is still being
+// finalized, so a preparer's PENDING store races the previous finalize.
+TEST(Bundle, InlineNewestNeverTorn) {
+  constexpr int kWrites = 200000;
+  constexpr int kReaders = 2;
+  constexpr timestamp_t kInf = std::numeric_limits<timestamp_t>::max() / 2;
+  std::vector<FakeNode> nodes(kWrites + 1);
+  for (int i = 0; i <= kWrites; ++i) nodes[i].id = i;
+  Bundle<FakeNode> b;
+  b.init(&nodes[0], 0);
+  std::atomic<int> prepared{0}, published{0}, ready{0};
+  std::atomic<bool> stop{false};
+  std::atomic<long> bad_snap{0}, bad_inf{0}, reads{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      Xoshiro256 rng(r + 1);
+      const auto index = [&](const BundleDeref<FakeNode>& d) {
+        return d.found ? static_cast<int>(d.ptr - nodes.data()) : -1;
+      };
+      int last_inf = 0;
+      ready.fetch_add(1);
+      while (!stop.load(std::memory_order_acquire)) {
+        // Every i <= pub is finalized, so a snapshot answers at least
+        // min(snap, pub) and at most snap.
+        const int pub = published.load(std::memory_order_acquire);
+        const int t_inf = index(b.dereference(kInf));
+        if (t_inf < last_inf || t_inf < pub) bad_inf.fetch_add(1);
+        last_inf = t_inf;
+        const int back = static_cast<int>(rng.next_range(48));
+        const int ahead = static_cast<int>(rng.next_range(16));
+        const int snap = std::max(0, pub - back) + ahead;
+        const int t = index(b.dereference(static_cast<timestamp_t>(snap)));
+        if (t < std::min(snap, pub) || t > snap) bad_snap.fetch_add(1);
+        reads.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  while (ready.load() < kReaders) cpu_relax();
+  testutil::run_threads(2, [&](int tid) {
+    for (int i = 1 + tid; i <= kWrites; i += 2) {
+      while (prepared.load(std::memory_order_acquire) != i - 1) cpu_relax();
+      // Waits inside prepare() until i-1 is finalized.
+      auto* e = b.prepare(tid, &nodes[i]);
+      prepared.store(i, std::memory_order_release);
+      b.finalize(e, static_cast<timestamp_t>(i));
+      int p = published.load(std::memory_order_relaxed);
+      while (p < i && !published.compare_exchange_weak(
+                          p, i, std::memory_order_release,
+                          std::memory_order_relaxed)) {
+      }
+    }
+  });
+  stop = true;
+  for (auto& t : readers) t.join();
+  EXPECT_EQ(bad_snap.load(), 0);
+  EXPECT_EQ(bad_inf.load(), 0);
+  EXPECT_GT(reads.load(), 0);
+  EXPECT_TRUE(b.inline_matches_head());
+  EXPECT_EQ(b.dereference(kInf).ptr, &nodes[kWrites]);
 }
 
 TEST(Bundle, PrepareBlocksBehindPendingHead) {
@@ -168,12 +240,12 @@ TEST(Bundle, PrepareBlocksBehindPendingHead) {
   std::atomic<bool> done{false};
   std::thread competitor([&] {
     auto* e = b.prepare(1, &n2);  // must wait until `first` finalizes
-    Bundle<FakeNode>::finalize(e, 9);
+    b.finalize(e, 9);
     done = true;
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(30));
   EXPECT_FALSE(done.load());
-  Bundle<FakeNode>::finalize(first, 4);
+  b.finalize(first, 4);
   competitor.join();
   auto entries = b.snapshot_entries();
   ASSERT_EQ(entries.size(), 3u);
@@ -187,7 +259,7 @@ TEST(Bundle, ReclaimOlderKeepsCoveringEntry) {
   FakeNode n{0};
   b.init(&n, 0);
   for (timestamp_t t = 1; t <= 10; ++t)
-    Bundle<FakeNode>::finalize(b.prepare(0, &n), t);
+    b.finalize(b.prepare(0, &n), t);
   // Oldest active RQ is at ts=6: keep entries 7..10 plus the covering
   // entry 6; retire 0..5 (6 entries).
   ebr.pin(0);
@@ -218,15 +290,30 @@ TEST(Bundle, ReclaimSkipsPendingHead) {
   Bundle<FakeNode> b;
   FakeNode n{0};
   b.init(&n, 0);
-  Bundle<FakeNode>::finalize(b.prepare(0, &n), 2);
+  b.finalize(b.prepare(0, &n), 2);
   auto* pending = b.prepare(0, &n);
   ebr.pin(0);
   EXPECT_EQ(b.reclaim_older(10, ebr, 0), 0u);
   ebr.unpin(0);
-  Bundle<FakeNode>::finalize(pending, 3);
+  b.finalize(pending, 3);
 }
 
 // ---------- linearize_update ----------
+
+// A range-query hop reads the node's key, value and bundle inline pair;
+// they must share the node's first 32 bytes, so the hop costs one line.
+TEST(BundledSkipListLayout, HopFieldsLieInFirst32Bytes) {
+  using Node = BundledSkipList<KeyT, ValT>::Node;
+  const Node n(1, 2, 0);
+  const auto end_of = [&](const void* field, size_t size) {
+    return static_cast<size_t>(static_cast<const char*>(field) -
+                               reinterpret_cast<const char*>(&n)) +
+           size;
+  };
+  EXPECT_LE(end_of(&n.key, sizeof(n.key)), 32u);
+  EXPECT_LE(end_of(&n.val, sizeof(n.val)), 32u);
+  EXPECT_LE(end_of(&n.bundle, Bundle<Node>::inline_pair_end()), 32u);
+}
 
 TEST(LinearizeUpdate, OrdersPrepareAdvanceLinearizeFinalize) {
   GlobalTimestamp gts;

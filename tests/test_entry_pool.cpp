@@ -74,9 +74,9 @@ TEST(EntryPool, MallocBypassTagsAndRoundTrips) {
     Bundle<FakeNode> b;
     FakeNode n{0};
     b.init(&n, 0);
-    Bundle<FakeNode>::finalize(b.prepare(0, &n), 1);
+    b.finalize(b.prepare(0, &n), 1);
     pool.set_pooling_enabled(true);
-    Bundle<FakeNode>::finalize(b.prepare(0, &n), 2);
+    b.finalize(b.prepare(0, &n), 2);
     EXPECT_EQ(b.size(), 3u);
   }
   pool.set_pooling_enabled(true);
