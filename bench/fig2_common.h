@@ -67,7 +67,11 @@ inline int run_fig2(const char* structure, const char* tag, int argc,
   Args args(argc, argv);
   Config base = config_from_args(args);
   if (!args.has("--keyrange")) base.key_range = 20000;  // quick default
-  if (!args.has("--duration")) base.duration_ms = 150;
+  // Shape-check default: 150 ms x 1 run gave Bundle/best-competitor
+  // ratios from 0.24x to 1.33x for one binary at 4 threads; 1000 ms x 3
+  // runs held two runs within 0.15x.
+  if (!args.has("--duration")) base.duration_ms = 1000;
+  if (!args.has("--runs")) base.runs = 3;
   json_init(args, (std::string("fig2_") + structure).c_str(), base);
 
   const auto competitors = competitors_for(structure);

@@ -238,13 +238,6 @@ class Client {
     encode_trace_dump(buf_);
     return call(Op::kTraceDump).text;
   }
-  /// Set the trace reservoir rate (commit ~one trace per `sample_every`
-  /// completions; 0 disables the reservoir).
-  bool trace_rate(uint32_t sample_every) {
-    buf_.clear();
-    encode_trace_rate(buf_, sample_every);
-    return call(Op::kTraceDump).status == Status::kOk;
-  }
   /// Set the full capture policy: reservoir rate + latency threshold in
   /// microseconds (0 = commit every completed trace, UINT32_MAX = no
   /// threshold commits).

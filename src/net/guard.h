@@ -22,9 +22,9 @@
 //     write-stall deadlines; per-connection pending-write caps disconnect
 //     unrecoverably slow readers before they OOM the server.
 //
-// This header owns the policy types, the wheel, the chunked-scan state
-// machine, and the guard metric series; server.h wires them into the
-// worker loops.
+// This header owns the policy types, the wheel and the chunked-scan state
+// machine; server.h wires them into the worker loops and exports their
+// counters (kServerCounters' "guard" block).
 
 #include <chrono>
 #include <cstdint>
@@ -35,7 +35,6 @@
 #include "api/set_interface.h"
 #include "core/global_timestamp.h"
 #include "core/rq_tracker.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "shard/sharded_set.h"
 
@@ -278,44 +277,5 @@ class SnapshotScan {
   uint32_t slices_ = 0;
   bool done_ = false;
 };
-
-/// Guard-layer series aggregated over live Server instances (same RAII
-/// pattern as server_series in server.h). Index order matches
-/// Server::register_obs().
-inline obs::GaugeSet& guard_series(size_t i) {
-  using GS = obs::GaugeSet;
-  using MK = obs::MetricKind;
-  static auto* v = [] {
-    auto* u = new std::vector<GS*>();
-    auto add = [&](GS::Agg a, const char* n, const char* h, const char* l,
-                   MK k) { u->push_back(new GS(a, n, h, l, k)); };
-    add(GS::Agg::kSum, "bref_net_shed_total",
-        "Request frames answered kErrOverloaded by admission control", "",
-        MK::kCounter);
-    add(GS::Agg::kSum, "bref_net_chunked_total",
-        "RANGE queries executed as cooperative chunked scans", "",
-        MK::kCounter);
-    add(GS::Agg::kSum, "bref_net_scan_slices_total",
-        "Chunk slices executed across all chunked scans", "", MK::kCounter);
-    add(GS::Agg::kSum, "bref_net_reaped_total",
-        "Connections closed by the guard layer", "reason=\"idle\"",
-        MK::kCounter);
-    add(GS::Agg::kSum, "bref_net_reaped_total",
-        "Connections closed by the guard layer", "reason=\"write_stall\"",
-        MK::kCounter);
-    add(GS::Agg::kSum, "bref_net_reaped_total",
-        "Connections closed by the guard layer", "reason=\"slow_reader\"",
-        MK::kCounter);
-    add(GS::Agg::kSum, "bref_net_stop_dropped_total",
-        "Connections closed at stop() with undelivered response bytes", "",
-        MK::kCounter);
-    add(GS::Agg::kSum, "bref_net_overloaded",
-        "Worker loops currently shedding (admission budget exhausted)", "",
-        MK::kGauge);
-    return u;
-  }();
-  return *(*v)[i];
-}
-inline constexpr size_t kGuardSeries = 8;
 
 }  // namespace bref::net

@@ -46,8 +46,8 @@ enum class Op : uint8_t {
   kPing = 9,       // body: -                   -> kOk
   kStats = 10,     // body: -                   -> kOk + utf8 JSON text
   kMetrics = 11,   // body: -                   -> kOk + Prometheus text
-  kTraceDump = 12, // body: - | u32 sample_every | u32 sample_every + u32
-                   //       threshold_us         -> kOk + utf8 JSON text | kOk
+  kTraceDump = 12, // body: - | u32 sample_every u32 threshold_us
+                   //                            -> kOk + utf8 JSON text | kOk
   kTraceGet = 13,  // body: u64 trace_id         -> kOk + utf8 JSON text | kNo
 };
 
@@ -204,14 +204,9 @@ inline void encode_stats(std::vector<uint8_t>& b) {
 inline void encode_metrics(std::vector<uint8_t>& b) {
   encode_header(b, Op::kMetrics, 0);
 }
-/// Empty body: dump the flight-recorder tail. With `sample_every`: set the
-/// global trace sampling rate (0 disables) and answer a bare kOk.
+/// Empty body: dump the flight-recorder tail.
 inline void encode_trace_dump(std::vector<uint8_t>& b) {
   encode_header(b, Op::kTraceDump, 0);
-}
-inline void encode_trace_rate(std::vector<uint8_t>& b, uint32_t sample_every) {
-  encode_header(b, Op::kTraceDump, 4);
-  put_u32(b, sample_every);
 }
 /// 8-byte TRACE_DUMP body: set the reservoir rate AND the tail-commit
 /// threshold in one shot. `threshold_us` semantics: 0 commits every traced

@@ -66,6 +66,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -155,72 +156,6 @@ inline obs::Histogram& op_hist(Op op) {
   }
 }
 
-/// Server-level series aggregated over live Server instances (servers are
-/// created and destroyed per bench scenario; RAII sources keep the
-/// exposition honest). Index order matches Server::register_obs().
-inline obs::GaugeSet& server_series(size_t i) {
-  using GS = obs::GaugeSet;
-  using MK = obs::MetricKind;
-  static auto* v = [] {
-    auto* u = new std::vector<GS*>();
-    auto add = [&](GS::Agg a, const char* n, const char* h, MK k) {
-      u->push_back(new GS(a, n, h, "", k));
-    };
-    add(GS::Agg::kSum, "bref_net_connections",
-        "Connections currently adopted by worker loops", MK::kGauge);
-    add(GS::Agg::kMax, "bref_net_connections_peak",
-        "High-water mark of adopted connections (max over live servers)",
-        MK::kGauge);
-    add(GS::Agg::kSum, "bref_net_accepted_total",
-        "Connections accepted", MK::kCounter);
-    add(GS::Agg::kSum, "bref_net_frames_total",
-        "Request frames executed", MK::kCounter);
-    add(GS::Agg::kSum, "bref_net_batches_total",
-        "Epoll waves that executed at least one frame", MK::kCounter);
-    add(GS::Agg::kSum, "bref_net_bytes_in_total",
-        "Request bytes read", MK::kCounter);
-    add(GS::Agg::kSum, "bref_net_bytes_out_total",
-        "Response bytes written", MK::kCounter);
-    add(GS::Agg::kSum, "bref_net_protocol_errors_total",
-        "Error responses sent", MK::kCounter);
-    add(GS::Agg::kSum, "bref_net_txns_committed_total",
-        "Wire transactions committed", MK::kCounter);
-    add(GS::Agg::kSum, "bref_net_txns_aborted_total",
-        "Wire transactions aborted", MK::kCounter);
-    return u;
-  }();
-  return *(*v)[i];
-}
-inline constexpr size_t kServerSeries = 10;
-
-/// bref-trace series, aggregated over live servers like server_series().
-/// Index order matches Server::register_obs().
-inline obs::GaugeSet& trace_series(size_t i) {
-  using GS = obs::GaugeSet;
-  using MK = obs::MetricKind;
-  static auto* v = [] {
-    auto* u = new std::vector<GS*>();
-    auto add = [&](const char* n, const char* h, MK k) {
-      u->push_back(new GS(GS::Agg::kSum, n, h, "", k));
-    };
-    add("bref_trace_committed_total",
-        "Request traces committed to the per-worker rings (tail threshold "
-        "or reservoir)", MK::kCounter);
-    add("bref_trace_dropped_total",
-        "Committed trace records overwritten by ring-window churn",
-        MK::kCounter);
-    add("bref_trace_scratch_exhausted_total",
-        "Requests not traced because the worker's scratch-slot pool was full",
-        MK::kCounter);
-    add("bref_trace_scratch_in_use",
-        "Trace scratch slots currently held (live chunked scans when idle)",
-        MK::kGauge);
-    return u;
-  }();
-  return *(*v)[i];
-}
-inline constexpr size_t kTraceSeries = 4;
-
 struct ServerOptions {
   /// TCP port; 0 binds an ephemeral port (read it back via port()).
   uint16_t port = 0;
@@ -245,10 +180,10 @@ struct ServerOptions {
   GuardOptions guard{};
 };
 
-/// Monotonic server-wide counters (relaxed; exact once quiescent).
+/// Monotonic server-wide counters (relaxed; exact once quiescent). Each
+/// field is exported by its row of kServerCounters below.
 struct ServerStats {
   uint64_t accepted = 0;
-  uint64_t closed = 0;
   uint64_t frames = 0;          // requests executed
   uint64_t batches = 0;         // epoll waves that executed >= 1 frame
   uint64_t bytes_in = 0;
@@ -273,6 +208,147 @@ struct ServerStats {
   uint64_t trace_scratch_exhausted = 0;  // requests untraced: pool full
   uint64_t trace_scratch_in_use = 0;     // slots held right now (gauge)
 };
+
+/// The per-worker counters behind most ServerStats fields. Only the
+/// worker's own loop writes them; any stats() caller reads them (relaxed
+/// atomics). Server's Worker derives from this, so a record site is a
+/// plain `w.frames.fetch_add(...)` and a table row can name the atomic
+/// that stats() sums over workers.
+struct WorkerCounters {
+  std::atomic<uint64_t> nconns{0};
+  // High-water of nconns; single-writer (the loop adopts), so a plain
+  // load/store bump suffices.
+  std::atomic<uint64_t> peak_conns{0};
+  std::atomic<uint64_t> frames{0}, batches{0}, bytes_in{0}, bytes_out{0};
+  std::atomic<uint64_t> protocol_errors{0}, txns_committed{0},
+      txns_aborted{0};
+  // Guard counters (net/guard.h semantics).
+  std::atomic<uint64_t> shed{0}, chunked{0}, scan_slices{0};
+  std::atomic<uint64_t> reaped_idle{0}, reaped_stall{0}, reaped_slow{0};
+  std::atomic<uint64_t> overloaded{0};  // 1 while the last wave shed
+  std::atomic<uint64_t> trace_scratch_exhausted{0};
+};
+
+/// One server counter, declared once. stats() sums `per_worker` over the
+/// workers into `field` (nullptr: stats() fills the field itself);
+/// stats_json() prints it as `key` in its STATS `block`; register_obs()
+/// exports it as the Prometheus series `metric{labels}`. Servers come and
+/// go per bench scenario, so each series aggregates the live servers by
+/// `agg` (see server_gauge()).
+struct ServerCounter {
+  const char* block;  // STATS block: "" = top level; rows of a block adjoin
+  const char* key;
+  uint64_t ServerStats::*field;
+  std::atomic<uint64_t> WorkerCounters::*per_worker;
+  const char* metric;
+  const char* labels;
+  obs::MetricKind kind;
+  obs::GaugeSet::Agg agg;
+  const char* help;
+};
+
+// Table order is STATS order and series registration order.
+inline constexpr ServerCounter kServerCounters[] = {
+    {"", "connections", &ServerStats::connections, &WorkerCounters::nconns,
+     "bref_net_connections", "", obs::MetricKind::kGauge,
+     obs::GaugeSet::Agg::kSum, "Connections currently adopted by worker loops"},
+    {"", "connections_peak", &ServerStats::connections_peak,
+     &WorkerCounters::peak_conns, "bref_net_connections_peak", "",
+     obs::MetricKind::kGauge, obs::GaugeSet::Agg::kMax,
+     "High-water mark of adopted connections (max over live servers)"},
+    {"", "accepted", &ServerStats::accepted, nullptr,
+     "bref_net_accepted_total", "", obs::MetricKind::kCounter,
+     obs::GaugeSet::Agg::kSum, "Connections accepted"},
+    {"", "frames", &ServerStats::frames, &WorkerCounters::frames,
+     "bref_net_frames_total", "", obs::MetricKind::kCounter,
+     obs::GaugeSet::Agg::kSum, "Request frames executed"},
+    {"", "batches", &ServerStats::batches, &WorkerCounters::batches,
+     "bref_net_batches_total", "", obs::MetricKind::kCounter,
+     obs::GaugeSet::Agg::kSum, "Epoll waves that executed at least one frame"},
+    {"", "bytes_in", &ServerStats::bytes_in, &WorkerCounters::bytes_in,
+     "bref_net_bytes_in_total", "", obs::MetricKind::kCounter,
+     obs::GaugeSet::Agg::kSum, "Request bytes read"},
+    {"", "bytes_out", &ServerStats::bytes_out, &WorkerCounters::bytes_out,
+     "bref_net_bytes_out_total", "", obs::MetricKind::kCounter,
+     obs::GaugeSet::Agg::kSum, "Response bytes written"},
+    {"", "protocol_errors", &ServerStats::protocol_errors,
+     &WorkerCounters::protocol_errors, "bref_net_protocol_errors_total", "",
+     obs::MetricKind::kCounter, obs::GaugeSet::Agg::kSum,
+     "Error responses sent"},
+    {"", "txns_committed", &ServerStats::txns_committed,
+     &WorkerCounters::txns_committed, "bref_net_txns_committed_total", "",
+     obs::MetricKind::kCounter, obs::GaugeSet::Agg::kSum,
+     "Wire transactions committed"},
+    {"", "txns_aborted", &ServerStats::txns_aborted,
+     &WorkerCounters::txns_aborted, "bref_net_txns_aborted_total", "",
+     obs::MetricKind::kCounter, obs::GaugeSet::Agg::kSum,
+     "Wire transactions aborted"},
+    {"guard", "shed", &ServerStats::shed, &WorkerCounters::shed,
+     "bref_net_shed_total", "", obs::MetricKind::kCounter,
+     obs::GaugeSet::Agg::kSum,
+     "Request frames answered kErrOverloaded by admission control"},
+    {"guard", "chunked_rqs", &ServerStats::chunked_rqs,
+     &WorkerCounters::chunked, "bref_net_chunked_total", "",
+     obs::MetricKind::kCounter, obs::GaugeSet::Agg::kSum,
+     "RANGE queries executed as cooperative chunked scans"},
+    {"guard", "scan_slices", &ServerStats::scan_slices,
+     &WorkerCounters::scan_slices, "bref_net_scan_slices_total", "",
+     obs::MetricKind::kCounter, obs::GaugeSet::Agg::kSum,
+     "Chunk slices executed across all chunked scans"},
+    {"guard", "reaped_idle", &ServerStats::reaped_idle,
+     &WorkerCounters::reaped_idle, "bref_net_reaped_total", "reason=\"idle\"",
+     obs::MetricKind::kCounter, obs::GaugeSet::Agg::kSum,
+     "Connections closed by the guard layer"},
+    {"guard", "reaped_write_stall", &ServerStats::reaped_write_stall,
+     &WorkerCounters::reaped_stall, "bref_net_reaped_total",
+     "reason=\"write_stall\"", obs::MetricKind::kCounter,
+     obs::GaugeSet::Agg::kSum, "Connections closed by the guard layer"},
+    {"guard", "reaped_slow_reader", &ServerStats::reaped_slow_reader,
+     &WorkerCounters::reaped_slow, "bref_net_reaped_total",
+     "reason=\"slow_reader\"", obs::MetricKind::kCounter,
+     obs::GaugeSet::Agg::kSum, "Connections closed by the guard layer"},
+    {"guard", "stop_dropped", &ServerStats::stop_dropped, nullptr,
+     "bref_net_stop_dropped_total", "", obs::MetricKind::kCounter,
+     obs::GaugeSet::Agg::kSum,
+     "Connections closed at stop() with undelivered response bytes"},
+    {"guard", "overloaded", &ServerStats::overloaded,
+     &WorkerCounters::overloaded, "bref_net_overloaded", "",
+     obs::MetricKind::kGauge, obs::GaugeSet::Agg::kSum,
+     "Worker loops currently shedding (admission budget exhausted)"},
+    {"trace", "committed", &ServerStats::trace_committed, nullptr,
+     "bref_trace_committed_total", "", obs::MetricKind::kCounter,
+     obs::GaugeSet::Agg::kSum,
+     "Request traces committed to the per-worker rings (tail threshold or "
+     "reservoir)"},
+    {"trace", "dropped", &ServerStats::trace_dropped, nullptr,
+     "bref_trace_dropped_total", "", obs::MetricKind::kCounter,
+     obs::GaugeSet::Agg::kSum,
+     "Committed trace records overwritten by ring-window churn"},
+    {"trace", "scratch_exhausted", &ServerStats::trace_scratch_exhausted,
+     &WorkerCounters::trace_scratch_exhausted,
+     "bref_trace_scratch_exhausted_total", "", obs::MetricKind::kCounter,
+     obs::GaugeSet::Agg::kSum,
+     "Requests not traced because the worker's scratch-slot pool was full"},
+    {"trace", "scratch_in_use", &ServerStats::trace_scratch_in_use, nullptr,
+     "bref_trace_scratch_in_use", "", obs::MetricKind::kGauge,
+     obs::GaugeSet::Agg::kSum,
+     "Trace scratch slots currently held (live chunked scans when idle)"},
+};
+inline constexpr size_t kNumServerCounters = std::size(kServerCounters);
+
+/// Row i's process-wide series; every row's is registered, in table
+/// order, on first use.
+inline obs::GaugeSet& server_gauge(size_t i) {
+  static obs::GaugeSet* const* g = [] {
+    auto** v = new obs::GaugeSet*[kNumServerCounters];
+    for (size_t j = 0; j < kNumServerCounters; ++j) {
+      const ServerCounter& c = kServerCounters[j];
+      v[j] = new obs::GaugeSet(c.agg, c.metric, c.help, c.labels, c.kind);
+    }
+    return v;
+  }();
+  return *g[i];
+}
 
 class Server {
  public:
@@ -394,8 +470,6 @@ class Server {
     // Unregister the obs sources first: removal blocks on in-flight
     // snapshot reads, so no callback can observe workers_ mid-teardown.
     for (auto& s : obs_srcs_) s.reset();
-    for (auto& s : obs_guard_srcs_) s.reset();
-    for (auto& s : obs_trace_srcs_) s.reset();
     stop_.store(true, std::memory_order_release);
     // Closing the listener wakes the acceptor's epoll_wait with EPOLLHUP
     // semantics; the eventfd write is belt and braces.
@@ -429,29 +503,12 @@ class Server {
   ServerStats stats() const {
     ServerStats s;
     s.accepted = accepted_.load(std::memory_order_relaxed);
-    s.closed = closed_.load(std::memory_order_relaxed);
     for (const auto& w : workers_) {
-      s.frames += w->frames.load(std::memory_order_relaxed);
-      s.batches += w->batches.load(std::memory_order_relaxed);
-      s.bytes_in += w->bytes_in.load(std::memory_order_relaxed);
-      s.bytes_out += w->bytes_out.load(std::memory_order_relaxed);
-      s.protocol_errors += w->protocol_errors.load(std::memory_order_relaxed);
-      s.txns_committed += w->txns_committed.load(std::memory_order_relaxed);
-      s.txns_aborted += w->txns_aborted.load(std::memory_order_relaxed);
-      s.connections += w->nconns.load(std::memory_order_relaxed);
-      s.connections_peak += w->peak_conns.load(std::memory_order_relaxed);
-      s.shed += w->shed.load(std::memory_order_relaxed);
-      s.chunked_rqs += w->chunked.load(std::memory_order_relaxed);
-      s.scan_slices += w->scan_slices.load(std::memory_order_relaxed);
-      s.reaped_idle += w->reaped_idle.load(std::memory_order_relaxed);
-      s.reaped_write_stall +=
-          w->reaped_stall.load(std::memory_order_relaxed);
-      s.reaped_slow_reader += w->reaped_slow.load(std::memory_order_relaxed);
-      s.overloaded += w->overloaded.load(std::memory_order_relaxed) ? 1 : 0;
+      for (const ServerCounter& c : kServerCounters)
+        if (c.per_worker != nullptr)
+          s.*c.field += ((*w).*c.per_worker).load(std::memory_order_relaxed);
       s.trace_committed += w->trace.committed();
       s.trace_dropped += w->trace.dropped();
-      s.trace_scratch_exhausted +=
-          w->trace_scratch_exhausted.load(std::memory_order_relaxed);
       s.trace_scratch_in_use += static_cast<uint64_t>(w->tslots.in_use());
     }
     // Server-level (not per-worker) so it stays readable after stop()
@@ -468,70 +525,37 @@ class Server {
     return n;
   }
 
-  /// Sum of per-worker adoption high-waters. An upper bound on the true
-  /// concurrent peak (workers peak independently), and — unlike the live
-  /// gauge — nonzero in any post-run stats capture, which is what made
-  /// BENCH_6's "connections: 0" unanswerable.
-  size_t peak_connections() const {
-    size_t n = 0;
-    for (const auto& w : workers_)
-      n += w->peak_conns.load(std::memory_order_relaxed);
-    return n;
-  }
-
   /// The STATS response body: server counters, routing counters when
   /// sharded, per-shard maintenance stats when the service runs.
   std::string stats_json() const {
     const ServerStats s = stats();
     char buf[512];
-    std::string out = "{";
-    std::snprintf(buf, sizeof buf,
-                  "\"impl\": \"%s\", \"shards\": %zu, \"workers\": %zu, "
-                  "\"connections\": %zu, \"connections_peak\": %zu, "
-                  "\"accepted\": %llu, "
-                  "\"frames\": %llu, \"batches\": %llu, "
-                  "\"frames_per_batch\": %.2f, \"bytes_in\": %llu, "
-                  "\"bytes_out\": %llu, \"protocol_errors\": %llu, "
-                  "\"txns_committed\": %llu, \"txns_aborted\": %llu",
-                  opt_.impl.c_str(), opt_.shards > 1 ? opt_.shards : 1,
-                  workers_.size(), connections(), peak_connections(),
-                  static_cast<unsigned long long>(s.accepted),
-                  static_cast<unsigned long long>(s.frames),
-                  static_cast<unsigned long long>(s.batches),
-                  s.batches ? static_cast<double>(s.frames) / s.batches : 0.0,
-                  static_cast<unsigned long long>(s.bytes_in),
-                  static_cast<unsigned long long>(s.bytes_out),
-                  static_cast<unsigned long long>(s.protocol_errors),
-                  static_cast<unsigned long long>(s.txns_committed),
-                  static_cast<unsigned long long>(s.txns_aborted));
-    out += buf;
-    std::snprintf(buf, sizeof buf,
-                  ", \"guard\": {\"shed\": %llu, \"chunked_rqs\": %llu, "
-                  "\"scan_slices\": %llu, \"reaped_idle\": %llu, "
-                  "\"reaped_write_stall\": %llu, "
-                  "\"reaped_slow_reader\": %llu, \"stop_dropped\": %llu, "
-                  "\"overloaded\": %llu}",
-                  static_cast<unsigned long long>(s.shed),
-                  static_cast<unsigned long long>(s.chunked_rqs),
-                  static_cast<unsigned long long>(s.scan_slices),
-                  static_cast<unsigned long long>(s.reaped_idle),
-                  static_cast<unsigned long long>(s.reaped_write_stall),
-                  static_cast<unsigned long long>(s.reaped_slow_reader),
-                  static_cast<unsigned long long>(s.stop_dropped),
-                  static_cast<unsigned long long>(s.overloaded));
-    out += buf;
-    // Trace-slot accounting: the chaos suite asserts scratch_in_use
-    // returns to the number of live chunked scans (0 when idle) after
-    // fault storms and shed bursts — a leaked slot means some request
-    // path forgot its terminal span.
-    std::snprintf(buf, sizeof buf,
-                  ", \"trace\": {\"committed\": %llu, \"dropped\": %llu, "
-                  "\"scratch_exhausted\": %llu, \"scratch_in_use\": %llu}",
-                  static_cast<unsigned long long>(s.trace_committed),
-                  static_cast<unsigned long long>(s.trace_dropped),
-                  static_cast<unsigned long long>(s.trace_scratch_exhausted),
-                  static_cast<unsigned long long>(s.trace_scratch_in_use));
-    out += buf;
+    std::string out = "{\"impl\": \"" + opt_.impl + "\", \"shards\": " +
+                      std::to_string(opt_.shards > 1 ? opt_.shards : 1) +
+                      ", \"workers\": " + std::to_string(workers_.size());
+    // The counter table, block by block: top-level keys, then the
+    // "guard" and "trace" objects.
+    const char* block = "";
+    for (const ServerCounter& c : kServerCounters) {
+      if (std::strcmp(c.block, block) == 0) {
+        out += ", ";
+      } else {
+        out += *block != '\0' ? "}, \"" : ", \"";
+        out += c.block;
+        out += "\": {";
+        block = c.block;
+      }
+      out += '"';
+      out += c.key;
+      out += "\": " + std::to_string(s.*c.field);
+      if (c.field == &ServerStats::batches) {  // derived; no row of its own
+        std::snprintf(buf, sizeof buf, ", \"frames_per_batch\": %.2f",
+                      s.batches ? static_cast<double>(s.frames) / s.batches
+                                : 0.0);
+        out += buf;
+      }
+    }
+    if (*block != '\0') out += "}";
     if (sharded_) {
       const ShardedSetStats r = sharded_->stats();
       std::snprintf(buf, sizeof buf,
@@ -677,7 +701,7 @@ class Server {
     obs::TraceScratch* trace = nullptr;
   };
 
-  struct Worker {
+  struct Worker : WorkerCounters {
     SessionGuard session;
     // Scan-dedicated session: chunked scans hold EBR pins across waves,
     // and Ebr::pin/unpin is not reentrant per tid, so the held scan and
@@ -698,18 +722,6 @@ class Server {
     int scan_fd = -1;                    // its owning connection
     uint64_t scan_start_ns = 0;          // op_hist attribution
     std::vector<int> scan_waiters;       // conns queued for the scan slot
-    std::atomic<size_t> nconns{0};
-    // High-water of nconns; single-writer (the loop adopts), so a plain
-    // load/store bump suffices.
-    std::atomic<uint64_t> peak_conns{0};
-    // Written by the loop, read by any STATS caller: relaxed atomics.
-    std::atomic<uint64_t> frames{0}, batches{0}, bytes_in{0}, bytes_out{0};
-    std::atomic<uint64_t> protocol_errors{0}, txns_committed{0},
-        txns_aborted{0};
-    // Guard counters (net/guard.h semantics; aggregated by stats()).
-    std::atomic<uint64_t> shed{0}, chunked{0}, scan_slices{0};
-    std::atomic<uint64_t> reaped_idle{0}, reaped_stall{0}, reaped_slow{0};
-    std::atomic<bool> overloaded{false};  // last wave shed something
     // bref-trace (obs/trace.h): scratch slots for in-flight request
     // traces, the committed-record ring (recency window) and the slowest
     // board (all-time tail). The loop is the only writer; any worker
@@ -718,7 +730,6 @@ class Server {
     obs::TraceRing trace;
     obs::TraceBoard board;
     uint64_t trace_seq = 0;  // loop-private server-side trace-id source
-    std::atomic<uint64_t> trace_scratch_exhausted{0};
 
     ~Worker() {
       if (epoll_fd >= 0) ::close(epoll_fd);
@@ -732,97 +743,13 @@ class Server {
                              std::strerror(errno));
   }
 
-  /// Register this instance's callback sources (see start()/stop() for
-  /// the workers_-stability bracket). Indices follow server_series().
+  /// Register this instance's callback sources, one per kServerCounters
+  /// row (see start()/stop() for the workers_-stability bracket).
   void register_obs() {
-    auto reg = [this](size_t i, double (Server::*read)() const) {
-      obs_srcs_[i] =
-          server_series(i).add([this, read] { return (this->*read)(); });
-    };
-    reg(0, &Server::obs_connections);
-    reg(1, &Server::obs_peak);
-    reg(2, &Server::obs_accepted);
-    reg(3, &Server::obs_frames);
-    reg(4, &Server::obs_batches);
-    reg(5, &Server::obs_bytes_in);
-    reg(6, &Server::obs_bytes_out);
-    reg(7, &Server::obs_protocol_errors);
-    reg(8, &Server::obs_txns_committed);
-    reg(9, &Server::obs_txns_aborted);
-    auto greg = [this](size_t i, double (Server::*read)() const) {
-      obs_guard_srcs_[i] =
-          guard_series(i).add([this, read] { return (this->*read)(); });
-    };
-    greg(0, &Server::obs_shed);
-    greg(1, &Server::obs_chunked);
-    greg(2, &Server::obs_scan_slices);
-    greg(3, &Server::obs_reaped_idle);
-    greg(4, &Server::obs_reaped_stall);
-    greg(5, &Server::obs_reaped_slow);
-    greg(6, &Server::obs_stop_dropped);
-    greg(7, &Server::obs_overloaded);
-    auto treg = [this](size_t i, double (Server::*read)() const) {
-      obs_trace_srcs_[i] =
-          trace_series(i).add([this, read] { return (this->*read)(); });
-    };
-    treg(0, &Server::obs_trace_committed);
-    treg(1, &Server::obs_trace_dropped);
-    treg(2, &Server::obs_trace_exhausted);
-    treg(3, &Server::obs_trace_in_use);
-  }
-  double obs_connections() const { return static_cast<double>(connections()); }
-  double obs_peak() const { return static_cast<double>(peak_connections()); }
-  double obs_accepted() const {
-    return static_cast<double>(accepted_.load(std::memory_order_relaxed));
-  }
-  double obs_frames() const { return static_cast<double>(stats().frames); }
-  double obs_batches() const { return static_cast<double>(stats().batches); }
-  double obs_bytes_in() const { return static_cast<double>(stats().bytes_in); }
-  double obs_bytes_out() const {
-    return static_cast<double>(stats().bytes_out);
-  }
-  double obs_protocol_errors() const {
-    return static_cast<double>(stats().protocol_errors);
-  }
-  double obs_txns_committed() const {
-    return static_cast<double>(stats().txns_committed);
-  }
-  double obs_txns_aborted() const {
-    return static_cast<double>(stats().txns_aborted);
-  }
-  double obs_shed() const { return static_cast<double>(stats().shed); }
-  double obs_chunked() const {
-    return static_cast<double>(stats().chunked_rqs);
-  }
-  double obs_scan_slices() const {
-    return static_cast<double>(stats().scan_slices);
-  }
-  double obs_reaped_idle() const {
-    return static_cast<double>(stats().reaped_idle);
-  }
-  double obs_reaped_stall() const {
-    return static_cast<double>(stats().reaped_write_stall);
-  }
-  double obs_reaped_slow() const {
-    return static_cast<double>(stats().reaped_slow_reader);
-  }
-  double obs_stop_dropped() const {
-    return static_cast<double>(stats().stop_dropped);
-  }
-  double obs_overloaded() const {
-    return static_cast<double>(stats().overloaded);
-  }
-  double obs_trace_committed() const {
-    return static_cast<double>(stats().trace_committed);
-  }
-  double obs_trace_dropped() const {
-    return static_cast<double>(stats().trace_dropped);
-  }
-  double obs_trace_exhausted() const {
-    return static_cast<double>(stats().trace_scratch_exhausted);
-  }
-  double obs_trace_in_use() const {
-    return static_cast<double>(stats().trace_scratch_in_use);
+    for (size_t i = 0; i < kNumServerCounters; ++i)
+      obs_srcs_[i] = server_gauge(i).add([this, f = kServerCounters[i].field] {
+        return static_cast<double>(stats().*f);
+      });
   }
 
   static void wake(Worker& w) {
@@ -890,7 +817,6 @@ class Server {
         for (int fd : fresh) {
           if (stopping) {
             ::close(fd);
-            closed_.fetch_add(1, std::memory_order_relaxed);
           } else {
             adopt_conn(w, fd, now_ms);
           }
@@ -936,7 +862,7 @@ class Server {
       // wheel's connection deadlines.
       pump_scan(w, tid, scratch, rq_out, wake_ns, &budget);
       advance_timers(w, steady_ms());
-      w.overloaded.store(budget.exhausted, std::memory_order_relaxed);
+      w.overloaded.store(budget.exhausted ? 1 : 0, std::memory_order_relaxed);
     }
   }
 
@@ -954,7 +880,7 @@ class Server {
     ev.events = EPOLLIN | EPOLLET | EPOLLRDHUP;
     ev.data.fd = fd;
     ::epoll_ctl(w.epoll_fd, EPOLL_CTL_ADD, fd, &ev);
-    const size_t nc = w.nconns.fetch_add(1, std::memory_order_relaxed) + 1;
+    const uint64_t nc = w.nconns.fetch_add(1, std::memory_order_relaxed) + 1;
     if (nc > w.peak_conns.load(std::memory_order_relaxed))
       w.peak_conns.store(nc, std::memory_order_relaxed);
   }
@@ -976,7 +902,6 @@ class Server {
     ::epoll_ctl(w.epoll_fd, EPOLL_CTL_DEL, fd, nullptr);
     w.conns[static_cast<size_t>(fd)].reset();  // closes the fd
     w.nconns.fetch_sub(1, std::memory_order_relaxed);
-    closed_.fetch_add(1, std::memory_order_relaxed);
   }
 
   // -- guard layer ---------------------------------------------------------
@@ -1199,7 +1124,6 @@ class Server {
         trace_abort(w, cp->trace);
         cp->trace = nullptr;
       }
-      closed_.fetch_add(1, std::memory_order_relaxed);
     }
     w.scan.reset();
     w.scan_fd = -1;
@@ -1559,12 +1483,6 @@ class Server {
         encode_text_response(out, obs::registry().prometheus());
         return ExecResult::kDone;
       case Op::kTraceDump: {
-        if (f.body_len == 4) {  // set the global sampling rate, ack
-          obs::trace_sample_every().store(get_u32(f.body),
-                                          std::memory_order_relaxed);
-          encode_status(out, Status::kOk);
-          return ExecResult::kDone;
-        }
         if (f.body_len == 8) {  // set rate + tail-commit threshold, ack
           obs::trace_sample_every().store(get_u32(f.body),
                                           std::memory_order_relaxed);
@@ -1685,13 +1603,10 @@ class Server {
   std::thread acceptor_;
   std::vector<std::unique_ptr<Worker>> workers_;
   std::atomic<uint64_t> accepted_{0};
-  std::atomic<uint64_t> closed_{0};
   std::atomic<uint64_t> stop_dropped_{0};  // survives worker teardown
   // Registered by start() after workers_ is built, removed by stop()
   // before it is torn down (their callbacks iterate workers_ unlocked).
-  obs::GaugeSet::Source obs_srcs_[kServerSeries];
-  obs::GaugeSet::Source obs_guard_srcs_[kGuardSeries];
-  obs::GaugeSet::Source obs_trace_srcs_[kTraceSeries];
+  obs::GaugeSet::Source obs_srcs_[kNumServerCounters];
 };
 
 }  // namespace bref::net

@@ -9,7 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <filesystem>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -251,10 +253,18 @@ TEST(Server, MalformedBodyKeepsConnectionAlive) {
   c.write_all(raw.data(), raw.size());
   r = c.read_reply(Op::kPing);
   EXPECT_EQ(r.status, Status::kErrMalformed);
+  // TRACE_DUMP takes an empty or an 8-byte body; 4 bytes is malformed.
+  raw.clear();
+  put_u32(raw, 1 + 4);
+  raw.push_back(static_cast<uint8_t>(Op::kTraceDump));
+  put_u32(raw, 1);
+  c.write_all(raw.data(), raw.size());
+  r = c.read_reply(Op::kTraceDump);
+  EXPECT_EQ(r.status, Status::kErrMalformed);
   // Connection still serves real traffic.
   EXPECT_TRUE(c.ping());
   EXPECT_TRUE(c.insert(1, 1));
-  EXPECT_GE(srv.stats().protocol_errors, 2u);
+  EXPECT_GE(srv.stats().protocol_errors, 3u);
   srv.stop();
 }
 
@@ -585,6 +595,110 @@ TEST(Observability, UntracedClientsAndUnknownTraceIdsBehave) {
   ASSERT_TRUE(plain.insert(1, 1));
   EXPECT_EQ(plain.last_trace_id(), 0u);
   EXPECT_FALSE(plain.trace_get(0xdeadbeefdeadbeefull).has_value());
+  srv.stop();
+}
+
+// Every kServerCounters row is one value seen three ways: stats(), the
+// STATS document and the METRICS exposition. Known traffic touches the
+// rows (point ops, a pipelined batch, a protocol error, a committed and an
+// aborted transaction, a shed burst, a chunked RANGE, committed traces);
+// at quiescence each row must read the same in all three, so a counter
+// cannot reach one view and miss another.
+TEST(Observability, CounterTableViewsAgree) {
+  ServerOptions o = small_opts(/*workers=*/2, /*shards=*/4);
+  o.guard.max_wave_frames = 16;  // a deep pipeline sheds
+  o.guard.scan_chunk_keys = 64;  // a whole-keyspace RANGE runs chunked
+  Server srv(o);
+  srv.start();
+  {
+    Client c(srv.port());
+    ASSERT_TRUE(c.trace_config(/*sample_every=*/0, /*threshold_us=*/0));
+    for (KeyT k = 1; k <= 200; ++k) ASSERT_TRUE(c.insert(k, k));
+    Pipeline p(c);
+    for (KeyT k = 1; k <= 12; ++k) p.get(k);
+    ASSERT_EQ(p.collect().size(), 12u);
+    std::vector<uint8_t> raw;  // GET with a 4-byte body
+    put_u32(raw, 1 + 4);
+    raw.push_back(static_cast<uint8_t>(Op::kGet));
+    put_u32(raw, 7);
+    c.write_all(raw.data(), raw.size());
+    EXPECT_EQ(c.read_reply(Op::kGet).status, Status::kErrMalformed);
+    ASSERT_TRUE(c.txn_begin());
+    ASSERT_TRUE(c.txn_insert(500, 5));
+    ASSERT_EQ(c.txn_commit().size(), 1u);
+    ASSERT_TRUE(c.txn_begin());
+    ASSERT_TRUE(c.txn_abort());
+    RangeSnapshot snap;
+    EXPECT_EQ(c.range(0, 1 << 16, snap), 201u);
+    ClientOptions co;
+    co.overload_retries = 0;
+    Client burst(srv.port(), co);
+    Pipeline b(burst);
+    for (KeyT k = 0; k < 500; ++k) b.insert(k, k);
+    ASSERT_EQ(b.collect().size(), 500u);
+    ASSERT_TRUE(c.trace_config(128, 1000));  // restore defaults
+  }
+  // Quiescent once both connections are gone: every counter a worker
+  // bumps for them precedes its drop on the same loop. Then wait for two
+  // equal reads in a row.
+  auto read_all = [&] {
+    const ServerStats st = srv.stats();
+    std::vector<uint64_t> v;
+    for (const ServerCounter& c : kServerCounters) v.push_back(st.*c.field);
+    return v;
+  };
+  std::vector<uint64_t> prev;
+  for (int spin = 0; spin < 500; ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    std::vector<uint64_t> cur = read_all();
+    if (srv.stats().connections == 0 && cur == prev) break;
+    prev = std::move(cur);
+  }
+  const ServerStats st = srv.stats();
+  ASSERT_EQ(st.connections, 0u);
+  EXPECT_GT(st.frames, st.batches);
+  EXPECT_GT(st.protocol_errors, 0u);
+  EXPECT_EQ(st.txns_committed, 1u);
+  EXPECT_EQ(st.txns_aborted, 1u);
+  EXPECT_GT(st.shed, 0u);
+  EXPECT_EQ(st.chunked_rqs, 1u);
+  EXPECT_GT(st.scan_slices, 1u);
+  if (obs::kEnabled) {
+    EXPECT_GT(st.trace_committed, 0u);
+  }
+  const std::string doc = srv.stats_json();
+  std::string err;
+  std::vector<obs::PromSeries> series;
+  ASSERT_TRUE(
+      obs::validate_prometheus(obs::registry().prometheus(), &err, &series))
+      << err;
+  for (const ServerCounter& c : kServerCounters) {
+    SCOPED_TRACE(std::string(c.block) + "." + c.key);
+    const uint64_t want = st.*c.field;
+    // STATS: the key inside its block's object ("" = top level, which
+    // ends where the first nested block begins).
+    size_t from = 0, to = doc.find("\"guard\": {");
+    if (*c.block != '\0') {
+      from = doc.find(std::string("\"") + c.block + "\": {");
+      ASSERT_NE(from, std::string::npos) << doc;
+      to = doc.find('}', from);
+    }
+    const std::string key = std::string("\"") + c.key + "\": ";
+    const size_t at = doc.find(key, from);
+    ASSERT_LT(at, to) << doc;
+    EXPECT_EQ(std::strtoull(doc.c_str() + at + key.size(), nullptr, 10), want);
+    // METRICS: the series with this row's name and labels.
+    int found = 0;
+    for (const obs::PromSeries& ps : series) {
+      std::string labels;
+      for (const auto& [k, v] : ps.labels)
+        labels += (labels.empty() ? "" : ",") + k + "=\"" + v + "\"";
+      if (ps.name != c.metric || labels != c.labels) continue;
+      ++found;
+      EXPECT_EQ(ps.value, static_cast<double>(want));
+    }
+    EXPECT_EQ(found, 1);
+  }
   srv.stop();
 }
 
