@@ -138,22 +138,7 @@ class AnySetAdapter final : public AnyOrderedSet {
   }
 
   MaintenanceWork maintain(int tid) override {
-    MaintenanceWork w;
-    if constexpr (requires(DS& d) { d.prune_bundles(tid); }) {
-      // Pruning retires entries through EBR, but in leaky mode readers
-      // never pin — the grace period would be meaningless, so prune only
-      // when the instance actually reclaims (the BundleCleaner contract).
-      bool prune = true;
-      if constexpr (HasReclaimEnabled<DS>::value) prune = ds_.reclaim_enabled();
-      if (prune) w.bundle_entries_pruned = ds_.prune_bundles(tid);
-    }
-    if constexpr (requires(DS& d) { d.flush_limbo(tid); })
-      w.limbo_flushed = ds_.flush_limbo(tid);
-    if constexpr (requires(DS& d) { d.ebr(); }) {
-      ds_.ebr().quiesce(tid);
-      w.epochs_quiesced = true;
-    }
-    return w;
+    return maintenance_pass(ds_, tid);
   }
   size_t maintenance_backlog() const override {
     if constexpr (requires(const DS& d) { d.limbo_size(); }) {

@@ -39,6 +39,34 @@ struct MaintenanceWork {
   }
 };
 
+/// The one background maintenance pass over a concrete structure, run by
+/// both AnySetAdapter::maintain (MaintenanceService's workers) and the
+/// typed BundleCleaner. Each duty runs only if DS has its hook:
+///   * prune_bundles, only when the instance reclaims: pruned entries are
+///     retired through EBR, and a leaky instance's readers never pin, so no
+///     grace period would cover them;
+///   * flush_limbo, the EBR-RQ limbo drain;
+///   * Ebr::quiesce: a prune pass holds one long pin that blocks every
+///     epoch advance, so push the epoch and drain the caller's ripe bags,
+///     letting pruned entries reach their owners' pools within a pass.
+template <typename DS>
+MaintenanceWork maintenance_pass(DS& ds, int tid) {
+  MaintenanceWork w;
+  if constexpr (requires { ds.prune_bundles(tid); }) {
+    bool prune = true;
+    if constexpr (requires { ds.reclaim_enabled(); })
+      prune = ds.reclaim_enabled();
+    if (prune) w.bundle_entries_pruned = ds.prune_bundles(tid);
+  }
+  if constexpr (requires { ds.flush_limbo(tid); })
+    w.limbo_flushed = ds.flush_limbo(tid);
+  if constexpr (requires { ds.ebr(); }) {
+    ds.ebr().quiesce(tid);
+    w.epochs_quiesced = true;
+  }
+  return w;
+}
+
 class AnyOrderedSet {
  public:
   virtual ~AnyOrderedSet() = default;

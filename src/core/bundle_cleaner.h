@@ -1,13 +1,14 @@
 #pragma once
-// Background bundle-entry recycler (supplementary B, Table 1).
+// Background maintenance thread for one typed structure (supplementary B,
+// Table 1).
 //
-// A dedicated thread periodically computes the oldest timestamp any active
-// or future range query can observe (via the RqTracker announce array) and
-// asks the data structure to prune every bundle down to the entries that
-// snapshot still needs. Pruned entries are retired through EBR because
-// in-flight range queries may still be walking them.
-//
-// DS duck-typing requirement: `size_t prune_bundles(int tid)`.
+// Every `delay` it runs maintenance_pass (api/set_interface.h), the same
+// pass MaintenanceService (shard/maintenance.h) runs per shard through
+// AnyOrderedSet::maintain: prune every bundle down to the entries the
+// oldest active or future range query still needs (only when the structure
+// reclaims; pruned entries are retired through EBR because in-flight range
+// queries may still be walking them), then push the epoch with
+// Ebr::quiesce so the pass's long pin does not starve reclamation.
 
 #include <atomic>
 #include <chrono>
@@ -16,15 +17,15 @@
 #include <mutex>
 #include <thread>
 
+#include "api/set_interface.h"
 #include "common/thread_registry.h"
-#include "core/entry_pool.h"
 
 namespace bref {
 
 template <typename DS>
 class BundleCleaner {
  public:
-  /// `delay` is the pause between cleanup passes (Table 1's d parameter).
+  /// `delay` is the pause between passes (0 = back-to-back).
   /// The cleaner's thread id comes from ThreadRegistry::try_acquire_high
   /// (ThreadSlotsExhaustedError if none is free) and goes back in stop().
   explicit BundleCleaner(DS& ds,
@@ -63,19 +64,6 @@ class BundleCleaner {
   }
   uint64_t passes() const { return passes_.load(std::memory_order_relaxed); }
 
-  /// Entry-pool counters for the structure being cleaned (pool hits,
-  /// misses = slab/bypass allocations, recycles). An entry this cleaner
-  /// prunes shows up as `recycled` once its EBR grace period elapses and
-  /// the drain pushes it back to its owner's pool. Zero-initialized for DS
-  /// types without a pooled entry path.
-  EntryPoolStats pool_stats() const {
-    if constexpr (requires(const DS& d) { d.entry_pool_stats(); }) {
-      return ds_->entry_pool_stats();
-    } else {
-      return {};
-    }
-  }
-
  private:
   void run() {
     std::unique_lock<std::mutex> lk(mu_);
@@ -84,16 +72,8 @@ class BundleCleaner {
         cv_.wait_for(lk, delay_, [this] { return stopped_; });
       if (stopped_) return;
       lk.unlock();
-      reclaimed_.fetch_add(ds_->prune_bundles(tid_),
+      reclaimed_.fetch_add(maintenance_pass(*ds_, tid_).bundle_entries_pruned,
                            std::memory_order_relaxed);
-      // A prune pass holds one long EBR pin, which blocks every epoch
-      // advance for its duration; with small delays that starves
-      // reclamation (bags never ripen, entry recycling stalls, pools
-      // re-allocate). Between passes, push the epoch and drain our own
-      // bags so pruned entries reach the owners' pools within ~a pass.
-      if constexpr (requires(DS& d) { d.ebr(); }) {
-        ds_->ebr().quiesce(tid_);
-      }
       passes_.fetch_add(1, std::memory_order_relaxed);
       lk.lock();
       if (stopped_) return;

@@ -1,19 +1,15 @@
 #pragma once
-// Background maintenance service — the generalization of BundleCleaner
-// (core/bundle_cleaner.h) to the type-erased, sharded world.
-//
-// BundleCleaner drives exactly one duty (bundle pruning) on exactly one
-// typed structure from one dedicated thread. This service owns one worker
-// thread PER SHARD of a ShardedSet (or a single worker for a plain set)
-// and drives every background duty the implementation exposes through
-// AnyOrderedSet::maintain(): bundle reconciliation (prune_bundles, only
-// when the instance reclaims), the EBR-RQ limbo drain (flush_limbo — the
-// ROADMAP's "nothing calls it unprompted" item), and Ebr::quiesce so long
-// prune pins never starve epoch advancement.
+// Background maintenance service: one worker thread PER SHARD of a
+// ShardedSet (or a single worker for a plain set), each running the
+// maintenance pass (maintenance_pass, api/set_interface.h) through
+// AnyOrderedSet::maintain: bundle pruning (only when the instance
+// reclaims), the EBR-RQ limbo drain (flush_limbo), and Ebr::quiesce so
+// long prune pins never starve epoch advancement. BundleCleaner
+// (core/bundle_cleaner.h) runs the same pass on one typed structure.
 //
 // Rate control: each worker sleeps `interval` between passes; with
 // `adaptive` set, a pass that found no work doubles the sleep up to
-// `max_interval` and any productive pass snaps it back — idle shards cost
+// kMaxInterval and any productive pass snaps it back — idle shards cost
 // ~zero CPU while hot shards are serviced at the base rate.
 //
 // Backlog-driven wakeups (`backlog_wake`): each worker owns a
@@ -28,17 +24,12 @@
 // cv_.notify_all(), so a producer crossing the threshold after the arm
 // cannot slip between the worker's check and its sleep.
 //
-// Worker thread ids: by default start() claims a registry-tracked id from
-// the TOP of the id space (ThreadRegistry::try_acquire_high) per worker,
-// released by stop(). High ids stay clear of benchmark drivers that pin
-// dense ids from 0 without consulting the registry, and because the slot
-// is *tracked*, a concurrent try_acquire (sessions, server workers) can
-// never be handed the same id — the untracked kMaxThreads-1-index
-// convention this replaces could collide with recycled session ids.
-// `pooled_tids` switches to SessionPool-backed per-OS-thread ids, the
-// right mode when every other participant also acquires ids
-// (applications, run_pooled tests); do not mix pooled workers with
-// hand-pinned workload ids that could collide.
+// Worker thread ids: start() claims a registry-tracked id from the TOP of
+// the id space (ThreadRegistry::try_acquire_high) per worker, released by
+// stop(). High ids stay clear of benchmark drivers that pin dense ids from
+// 0 without consulting the registry, and because the slot is *tracked*, a
+// concurrent try_acquire (sessions, server workers) can never be handed
+// the same id.
 //
 // Lifecycle: construct -> start() -> stop() (idempotent, restartable);
 // the destructor stops. stats(i) exposes per-shard counters.
@@ -48,17 +39,14 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <cstdio>
 #include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
 
-#include "api/session.h"
 #include "api/set_interface.h"
 #include "common/cacheline.h"
 #include "common/thread_registry.h"
-#include "common/timing.h"
 #include "obs/metrics.h"
 #include "shard/sharded_set.h"
 
@@ -99,21 +87,11 @@ inline obs::GaugeSet& maintenance_wakeups_counter(bool backlog) {
 }
 
 struct MaintenanceOptions {
-  /// Base pause between passes (0 = back-to-back, Table 1's d=0).
+  /// Base pause between passes (0 = sleep until the backlog signal fires).
   std::chrono::milliseconds interval{2};
-  /// Ceiling for the adaptive back-off.
-  std::chrono::milliseconds max_interval{64};
-  /// Back off while passes find no work; snap back when one does.
+  /// Back off while passes find no work (up to MaintenanceService::
+  /// kMaxInterval); snap back when one does.
   bool adaptive = true;
-  /// Take worker ids from SessionPool (see header) instead of dedicated
-  /// top-of-range slots.
-  bool pooled_tids = false;
-  /// Warn (one rate-limited stderr line) when a worker's post-pass backlog
-  /// exceeds this bound; 0 disables. The precursor to backlog-driven
-  /// wakeups: the signal exists and is visible before it steers anything.
-  size_t backlog_warn = 0;
-  /// Minimum spacing between warnings per worker.
-  std::chrono::milliseconds backlog_warn_interval{5000};
   /// Wake a worker as soon as this many items were retired/parked on its
   /// target since the last pass (0 disables the signal: pure interval
   /// polling). With interval == 0 this is the ONLY wake source.
@@ -132,6 +110,9 @@ struct ShardMaintenanceStats {
 
 class MaintenanceService {
  public:
+  /// Ceiling for the adaptive back-off.
+  static constexpr std::chrono::milliseconds kMaxInterval{64};
+
   /// One worker per shard when `set` is a ShardedSet; one worker total
   /// otherwise.
   explicit MaintenanceService(AnyOrderedSet& set,
@@ -145,34 +126,24 @@ class MaintenanceService {
     }
     register_gauges();
   }
-  /// Explicit target list (advanced: several plain sets under one service).
-  explicit MaintenanceService(std::vector<AnyOrderedSet*> targets,
-                              MaintenanceOptions opt = {})
-      : opt_(opt) {
-    for (AnyOrderedSet* s : targets)
-      workers_.push_back(std::make_unique<Worker>(s));
-    register_gauges();
-  }
 
   ~MaintenanceService() { stop(); }
   MaintenanceService(const MaintenanceService&) = delete;
   MaintenanceService& operator=(const MaintenanceService&) = delete;
 
-  /// Spawns the workers. In the default (non-pooled) mode every worker's
-  /// registry id is claimed HERE, before any thread starts — callers see
-  /// deterministic ThreadRegistry::in_use() accounting, and exhaustion
-  /// surfaces as ThreadSlotsExhaustedError from start() (nothing spawned,
-  /// already-claimed ids rolled back) instead of a silently dead worker.
+  /// Spawns the workers. Every worker's registry id is claimed HERE, before
+  /// any thread starts — callers see deterministic ThreadRegistry::in_use()
+  /// accounting, and exhaustion surfaces as ThreadSlotsExhaustedError from
+  /// start() (nothing spawned, already-claimed ids rolled back) instead of a
+  /// silently dead worker.
   void start() {
     std::lock_guard<std::mutex> g(lifecycle_mu_);
     if (running_) return;
-    if (!opt_.pooled_tids) {
-      for (auto& w : workers_) {
-        w->tid = ThreadRegistry::instance().try_acquire_high();
-        if (w->tid < 0) {
-          release_tids();
-          throw ThreadSlotsExhaustedError();
-        }
+    for (auto& w : workers_) {
+      w->tid = ThreadRegistry::instance().try_acquire_high();
+      if (w->tid < 0) {
+        release_tids();
+        throw ThreadSlotsExhaustedError();
       }
     }
     stop_.store(false, std::memory_order_relaxed);
@@ -189,10 +160,8 @@ class MaintenanceService {
         w->target->set_maintenance_signal(&w->signal);
       }
     }
-    for (size_t i = 0; i < workers_.size(); ++i) {
-      Worker& w = *workers_[i];
-      w.thread = std::thread([this, &w, i] { run(w, i); });
-    }
+    for (auto& w : workers_)
+      w->thread = std::thread([this, p = w.get()] { run(*p); });
     running_ = true;
   }
 
@@ -211,7 +180,7 @@ class MaintenanceService {
     // producer that loaded the pointer before the detach stays safe.
     if (opt_.backlog_wake != 0)
       for (auto& w : workers_) w->target->set_maintenance_signal(nullptr);
-    if (!opt_.pooled_tids) release_tids();
+    release_tids();
     running_ = false;
   }
 
@@ -254,7 +223,7 @@ class MaintenanceService {
     explicit Worker(AnyOrderedSet* t) : target(t) {}
     AnyOrderedSet* target;
     std::thread thread;
-    int tid = -1;  // registry-tracked id (non-pooled mode), set by start()
+    int tid = -1;  // registry-tracked id, set by start()
     CachePadded<std::atomic<uint64_t>> passes{};
     CachePadded<std::atomic<uint64_t>> pruned{};
     CachePadded<std::atomic<uint64_t>> flushed{};
@@ -263,7 +232,6 @@ class MaintenanceService {
     CachePadded<std::atomic<uint64_t>> backlog_wakeups{};
     CachePadded<std::atomic<uint64_t>> timer_wakeups{};
     MaintenanceSignal signal;  // producers' backlog counter (backlog_wake)
-    Clock::time_point last_warn{};  // worker-thread private
     obs::GaugeSet::Source backlog_src;  // reads `backlog` above only
     obs::GaugeSet::Source wake_backlog_src;
     obs::GaugeSet::Source wake_timer_src;
@@ -303,8 +271,7 @@ class MaintenanceService {
     }
   }
 
-  void run(Worker& w, size_t shard) {
-    const int tid = opt_.pooled_tids ? SessionPool::thread_tid() : w.tid;
+  void run(Worker& w) {
     auto interval = opt_.interval;
     const bool timed = opt_.interval.count() > 0;
     std::unique_lock<std::mutex> lk(mu_);
@@ -329,31 +296,17 @@ class MaintenanceService {
       lk.unlock();
       (backlog_wake ? w.backlog_wakeups : w.timer_wakeups)
           ->fetch_add(1, std::memory_order_relaxed);
-      const MaintenanceWork work = w.target->maintain(tid);
+      const MaintenanceWork work = w.target->maintain(w.tid);
       w.passes->fetch_add(1, std::memory_order_relaxed);
       w.pruned->fetch_add(work.bundle_entries_pruned,
                           std::memory_order_relaxed);
       w.flushed->fetch_add(work.limbo_flushed, std::memory_order_relaxed);
-      // What the pass left behind: the live signal for the obs gauge, the
-      // warning below, and (next) backlog-driven wakeups.
-      const size_t backlog = w.target->maintenance_backlog();
-      w.backlog->store(backlog, std::memory_order_relaxed);
-      if (opt_.backlog_warn != 0 && backlog > opt_.backlog_warn) {
-        const auto now = Clock::now();
-        if (w.last_warn.time_since_epoch().count() == 0 ||
-            now - w.last_warn >= opt_.backlog_warn_interval) {
-          w.last_warn = now;
-          std::fprintf(stderr,
-                       "[bref-maintenance] shard %zu backlog %zu exceeds "
-                       "bound %zu (pass %llu)\n",
-                       shard, backlog, opt_.backlog_warn,
-                       static_cast<unsigned long long>(
-                           w.passes->load(std::memory_order_relaxed)));
-        }
-      }
+      // What the pass left behind, for the obs backlog gauge.
+      w.backlog->store(w.target->maintenance_backlog(),
+                       std::memory_order_relaxed);
       if (opt_.adaptive && timed) {
         if (work.reclaimed() == 0) {
-          interval = std::min(interval * 2, opt_.max_interval);
+          interval = std::min(interval * 2, kMaxInterval);
           w.idle_backoffs->fetch_add(1, std::memory_order_relaxed);
         } else {
           interval = opt_.interval;

@@ -420,7 +420,7 @@ TEST(RqTracker, OldestActiveWaitsOutPendingAnnounce) {
 // ---------- BundleCleaner (on a real structure) ----------
 
 TEST(BundleCleaner, PrunesQuiescentListToMinimalEntries) {
-  BundleListSet list;
+  BundleListSet list(1, /*reclaim=*/true);
   for (KeyT k = 1; k <= 50; ++k) list.insert(0, k, k);
   for (KeyT k = 1; k <= 50; k += 2) list.remove(0, k);
   const size_t before = list.total_bundle_entries();
@@ -435,6 +435,28 @@ TEST(BundleCleaner, PrunesQuiescentListToMinimalEntries) {
   // Quiescent cleanup leaves exactly one entry per live bundle
   // (head sentinel + 25 live nodes + tail).
   EXPECT_EQ(after, list.size_slow() + 2);
+  EXPECT_TRUE(list.check_invariants());
+}
+
+// A leaky structure's readers never pin (OptEbrGuard), so no EBR grace
+// period covers them: pruning would free entries a reader may be walking.
+// The cleaner must run its passes and leave every bundle as it was.
+TEST(BundleCleaner, LeakyStructureIsNeverPruned) {
+  BundleListSet list;
+  ASSERT_FALSE(list.reclaim_enabled());
+  for (KeyT k = 1; k <= 50; ++k) list.insert(0, k, k);
+  for (KeyT k = 1; k <= 50; k += 2) list.remove(0, k);
+  const size_t before = list.total_bundle_entries();
+  {
+    BundleCleaner<BundleListSet> cleaner(list, std::chrono::milliseconds(1));
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (cleaner.passes() < 5 && std::chrono::steady_clock::now() < deadline)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    EXPECT_GE(cleaner.passes(), 5u);
+    EXPECT_EQ(cleaner.entries_reclaimed(), 0u);
+  }
+  EXPECT_EQ(list.total_bundle_entries(), before);
   EXPECT_TRUE(list.check_invariants());
 }
 

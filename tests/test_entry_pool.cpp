@@ -170,7 +170,7 @@ TEST(EntryPool, RecycledEntriesNeverReachableByActiveReaders) {
   for (auto& t : readers) t.join();
   cleaner.stop();
   EXPECT_EQ(rq_failures.load(), 0);
-  EXPECT_GT(cleaner.pool_stats().recycled, 0u);
+  EXPECT_GT(sl.entry_pool_stats().recycled, 0u);
   EXPECT_TRUE(sl.check_invariants());
 }
 

@@ -524,15 +524,13 @@ TEST(Maintenance, LimboStaysBoundedWithoutCallerCooperation) {
   EXPECT_TRUE(s.check_invariants());
 }
 
-TEST(Maintenance, PooledTidModeComposesWithPooledSessions) {
+TEST(Maintenance, TrackedWorkerIdsComposeWithPooledSessions) {
   // Application deployment shape: workload threads AND maintenance workers
   // all draw ids from the global registry (no pinned ids anywhere).
   Set s = Set::create("Sharded-Bundle-skiplist", SetOptions{.reclaim = true});
   auto& sharded = dynamic_cast<ShardedSet&>(s.impl());
-  MaintenanceService svc(sharded,
-                         MaintenanceOptions{
-                             .interval = std::chrono::milliseconds(1),
-                             .pooled_tids = true});
+  MaintenanceService svc(
+      sharded, MaintenanceOptions{.interval = std::chrono::milliseconds(1)});
   svc.start();
   testutil::run_pooled(s.impl(), 4, [&](ThreadSession& sess) {
     Xoshiro256 rng(7 + sess.tid());
@@ -557,10 +555,10 @@ TEST(Maintenance, AdaptiveRateBacksOffWhenIdle) {
                small_range(2, 0, 100, SetOptions{.reclaim = true}));
   MaintenanceService svc(
       s, MaintenanceOptions{.interval = std::chrono::milliseconds(1),
-                            .max_interval = std::chrono::milliseconds(8),
                             .adaptive = true});
   svc.start();
-  // Nothing to do: passes must back off rather than spin at base rate.
+  // Nothing to do: passes must back off (up to kMaxInterval) rather than
+  // spin at base rate.
   std::this_thread::sleep_for(std::chrono::milliseconds(120));
   svc.stop();
   EXPECT_GT(svc.total().idle_backoffs, 0u);
